@@ -10,6 +10,7 @@ pretty table.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -52,11 +53,12 @@ def parse_amplitude(text: str) -> complex:
     if not s:
         raise UsageError("empty amplitude")
     try:
-        if s.endswith("i"):
-            return complex(s[:-1] + "j")
-        return complex(float(s))
+        z = complex(s[:-1] + "j") if s.endswith("i") else complex(float(s))
     except ValueError:
         raise UsageError(f"bad amplitude {text!r}; use a, a+bi or a-bi") from None
+    if not cmath.isfinite(z):
+        raise UsageError(f"amplitude {text!r} is not finite")
+    return z
 
 
 def parse_state_spec(spec: str) -> SystemState:
@@ -112,8 +114,8 @@ def parse_grid_spec(text: str) -> tuple[tuple[float, ...], str]:
     kind = parts[3]
     if kind not in ("log", "lin"):
         raise UsageError(f"grid kind must be log or lin, got {kind!r}")
-    if lo <= 0 or hi <= lo or n < 2:
-        raise UsageError("epsilon grid needs 0 < lo < hi and n >= 2")
+    if not 0 < lo < hi < math.inf or n < 2:
+        raise UsageError("epsilon grid needs finite 0 < lo < hi and n >= 2")
     grid = np.geomspace(lo, hi, n) if kind == "log" else np.linspace(lo, hi, n)
     return tuple(float(e) for e in grid), f"{fmt(lo)}:{fmt(hi)}:{n}:{kind}"
 
@@ -142,8 +144,8 @@ def positive(value, name: str) -> float:
         x = float(value)
     except (TypeError, ValueError):
         raise UsageError(f"{name} must be a number, got {value!r}") from None
-    if x <= 0:
-        raise UsageError(f"{name} must be positive, got {x}")
+    if not 0 < x < math.inf:
+        raise UsageError(f"{name} must be positive and finite, got {x}")
     return x
 
 

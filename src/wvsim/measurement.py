@@ -14,26 +14,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BasisMismatch,
-    NotHermitian,
-    OrthogonalSelection,
-    PostSelectionImpossible,
-    WidthMismatch,
-    ZeroVector,
-)
+from .errors import BasisMismatch, OrthogonalSelection, PostSelectionImpossible, ZeroVector
 from .pointer import (
-    SHIFT_MERGE_TOL,
     PointerMixture,
     PointerState,
     bures_pure,
     gaussian,
+    merge_terms,
     normalize_terms,
 )
-from .qstate import HERMITICITY_TOL, Observable, SystemState, apply, inner
+from .qstate import Observable, SystemState, apply, inner
 
 DEFAULT_OVERLAP_FLOOR = 1e-12
-DIAGONAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,24 +41,6 @@ class CouplingConfig:
             raise ValueError(
                 f"g, epsilon and delta must be positive, got "
                 f"({self.g}, {self.epsilon}, {self.delta})")
-
-
-@dataclass(frozen=True, eq=False)
-class JointState:
-    """Entangled system-pointer state, one Gaussian branch per eigenvalue.
-
-    `labels` index the branch basis; when the observable had to be
-    diagonalized, `basis` holds its eigenvectors as columns in the original
-    basis (None means the branch basis is the original one) and
-    `system_labels` keeps the original labels for post-selection checks.
-    """
-
-    labels: tuple[int, ...]
-    amplitudes: tuple[complex, ...]
-    shifts: tuple[float, ...]
-    width: float
-    system_labels: tuple[int, ...]
-    basis: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -94,84 +68,49 @@ def weak_value(pre: SystemState, post: SystemState, a: Observable,
     return numer / denom
 
 
-def _eigenbranches(a: Observable) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eigenvalues and, if the matrix is not diagonal, its eigenvectors."""
-    m = a.matrix
-    off = m - np.diag(np.diagonal(m))
-    if np.max(np.abs(off)) <= DIAGONAL_TOL:
-        return np.real(np.diagonal(m)).copy(), None
-    vals, vecs = np.linalg.eigh(m)
-    return vals, vecs
+def _branches(a: Observable, cfg: CouplingConfig, *states: SystemState):
+    """Kicks g * eps * a_j of the initial pointer (width delta, centred at 0)
+    and each state's amplitudes in the eigenbasis of `a`."""
+    vals, vecs = a.eigenbasis
+    amps = []
+    for state in states:
+        if state.labels != a.labels:
+            raise BasisMismatch(f"bases differ: {state.labels} vs {a.labels}")
+        amps.append(state.vector if vecs is None else vecs.conj().T @ state.vector)
+    return cfg.g * cfg.epsilon * vals, *amps
 
 
-def couple(pre: SystemState, a: Observable, cfg: CouplingConfig,
-           pointer0: PointerState) -> JointState:
-    """Entangle system and pointer through the impulsive coupling.
-
-    The eigenvalue-a_j branch of `pre` is paired with the initial Gaussian
-    shifted by g * eps * a_j. The observable is diagonalized first if needed;
-    the pointer couples to eigenvalues only.
-    """
-    if pre.labels != a.labels:
-        raise BasisMismatch(f"bases differ: {pre.labels} vs {a.labels}")
-    if np.max(np.abs(a.matrix - a.matrix.conj().T)) > HERMITICITY_TOL:
-        raise NotHermitian("observable matrix is not Hermitian")
-    if len(pointer0.shifts) != 1:
-        raise ValueError("initial pointer must be a single Gaussian")
-    if pointer0.width != cfg.delta:
-        raise WidthMismatch(
-            f"pointer width {pointer0.width} differs from coupling delta {cfg.delta}")
-    vals, vecs = _eigenbranches(a)
-    if vecs is None:
-        labels = pre.labels
-        amps = pre.vector
-    else:
-        labels = tuple(range(len(vals)))
-        amps = vecs.conj().T @ pre.vector
-    center = pointer0.shifts[0]
-    amps = amps * pointer0.coeffs[0]
-    shifts = tuple(center + cfg.g * cfg.epsilon * float(v) for v in vals)
-    return JointState(labels=labels, amplitudes=tuple(map(complex, amps)),
-                      shifts=shifts, width=pointer0.width,
-                      system_labels=pre.labels, basis=vecs)
-
-
-def post_select(joint: JointState, post: SystemState) -> PostSelectionResult:
-    """Project the system on `post` and renormalize the conditioned pointer.
+def post_select(pre: SystemState, post: SystemState, a: Observable,
+                cfg: CouplingConfig) -> PostSelectionResult:
+    """Couple `pre` to the pointer, project the system on `post` and
+    renormalize the conditioned pointer.
 
     The probability is the squared norm of the unnormalized conditional
     pointer, evaluated with the exact Gaussian Gram matrix (not the weak
     limit |<post|pre>|^2, which it approaches as eps -> 0).
     """
-    if post.labels != joint.system_labels:
-        raise BasisMismatch(f"bases differ: {post.labels} vs {joint.system_labels}")
-    d = post.vector if joint.basis is None else joint.basis.conj().T @ post.vector
-    weights = np.conj(d) * np.asarray(joint.amplitudes, dtype=complex)
+    kicks, c, d = _branches(a, cfg, pre, post)
+    weights = np.conj(d) * c
     try:
-        pointer, norm_sq = normalize_terms(
-            joint.width, zip(joint.shifts, map(complex, weights)))
+        pointer, norm_sq = normalize_terms(cfg.delta, zip(kicks, map(complex, weights)))
     except ZeroVector:
         raise PostSelectionImpossible(
             "post-selection amplitude vanishes for every pointer component") from None
     return PostSelectionResult(pointer=pointer, probability=min(norm_sq, 1.0))
 
 
-def no_postselect_mixture(joint: JointState) -> PointerMixture:
+def no_postselect_mixture(pre: SystemState, a: Observable,
+                          cfg: CouplingConfig) -> PointerMixture:
     """Reduced pointer state when nothing is post-selected.
 
     Distinct shifts carry mutually orthogonal system branches, so tracing out
     the system yields a classical mixture with one Gaussian per distinct
     shift, weighted by the Born weight of that shift.
     """
-    groups: list[list[float]] = []
-    for mu, amp in sorted(zip(joint.shifts, joint.amplitudes), key=lambda t: t[0]):
-        w = abs(amp) ** 2
-        if groups and abs(mu - groups[-1][0]) <= SHIFT_MERGE_TOL:
-            groups[-1][1] += w
-        else:
-            groups.append([mu, w])
-    components = tuple((w, gaussian(mu, joint.width)) for mu, w in groups if w > 0.0)
-    return PointerMixture(components)
+    kicks, c = _branches(a, cfg, pre)
+    # Python's complex abs, not np.abs: the two differ in the last bit.
+    born = merge_terms(zip(kicks, [abs(amp) ** 2 for amp in map(complex, c)]))
+    return PointerMixture(tuple((w, gaussian(mu, cfg.delta)) for mu, w in born))
 
 
 def weakness_metric(pre: SystemState, post: SystemState, a: Observable,
@@ -185,32 +124,10 @@ def weakness_metric(pre: SystemState, post: SystemState, a: Observable,
     base = inner(post, pre)
     if abs(base) <= DEFAULT_OVERLAP_FLOOR:
         raise OrthogonalSelection("pre- and post-selection are orthogonal")
-    if pre.labels != a.labels:
-        raise BasisMismatch(f"bases differ: {pre.labels} vs {a.labels}")
-    vals, vecs = _eigenbranches(a)
-    c = pre.vector if vecs is None else vecs.conj().T @ pre.vector
-    d = post.vector if vecs is None else vecs.conj().T @ post.vector
-    damping = np.exp(-((cfg.g * cfg.epsilon * vals) ** 2) / (8.0 * cfg.delta ** 2))
+    kicks, c, d = _branches(a, cfg, pre, post)
+    damping = np.exp(-(kicks ** 2) / (8.0 * cfg.delta ** 2))
     perturbed = complex(np.vdot(d, damping * c))
     return abs(perturbed - base) / abs(base)
-
-
-def postselect_probability_drift(pre: SystemState, post: SystemState, a: Observable,
-                                 cfg: CouplingConfig) -> float:
-    """Relative deviation of the exact post-selection probability from its
-    zero-coupling value |<post|pre>|^2.
-
-    Complements `weakness_metric`: near-cancelling selections can keep the
-    coherent scalar product almost unchanged while the conditioned branch is
-    already dominated by measurement back-action.
-    """
-    base = inner(post, pre)
-    if abs(base) <= DEFAULT_OVERLAP_FLOOR:
-        raise OrthogonalSelection("pre- and post-selection are orthogonal")
-    joint = couple(pre, a, cfg, gaussian(0.0, cfg.delta))
-    result = post_select(joint, post)
-    p0 = abs(base) ** 2
-    return abs(result.probability - p0) / p0
 
 
 def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
@@ -222,7 +139,6 @@ def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
     probe like the single number Re(A_w).
     """
     aw = weak_value(pre, post, a)
-    joint = couple(pre, a, cfg, gaussian(0.0, cfg.delta))
-    actual = post_select(joint, post).pointer
+    actual = post_select(pre, post, a, cfg).pointer
     ideal = gaussian(cfg.g * cfg.epsilon * aw.real, cfg.delta)
     return ShiftCheck(actual, ideal, bures_pure(actual, ideal))

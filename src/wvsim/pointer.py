@@ -34,7 +34,6 @@ class PointerState:
     width: float
     shifts: tuple[float, ...]
     coeffs: tuple[complex, ...]
-    normalized: bool = True
 
     def __post_init__(self):
         if self.width <= 0:
@@ -63,8 +62,6 @@ class PointerMixture:
         for p, state in comps:
             if not 0.0 < p <= 1.0:
                 raise ValueError(f"mixture weight {p} outside (0, 1]")
-            if not state.normalized:
-                raise ValueError("mixture components must be normalized")
         object.__setattr__(self, "components", comps)
 
 
@@ -88,14 +85,15 @@ def _gram(shifts_a: Sequence[float], shifts_b: Sequence[float], width: float) ->
     return np.exp(-(d * d) / (8.0 * width * width))
 
 
-def _merge(terms: Iterable[tuple[float, complex]]) -> list[tuple[float, complex]]:
-    """Coalesce terms whose shifts agree within SHIFT_MERGE_TOL, drop zeros."""
+def merge_terms(terms: Iterable[tuple[float, complex]]) -> list[tuple[float, complex]]:
+    """Coalesce (shift, amplitude or weight) terms whose shifts agree within
+    SHIFT_MERGE_TOL, drop zeros."""
     out: list[list] = []
     for mu, c in sorted(terms, key=lambda t: t[0]):
         if out and abs(mu - out[-1][0]) <= SHIFT_MERGE_TOL:
             out[-1][1] += c
         else:
-            out.append([float(mu), complex(c)])
+            out.append([float(mu), c])
     return [(mu, c) for mu, c in out if c != 0.0]
 
 
@@ -106,7 +104,7 @@ def normalize_terms(width: float, terms: Iterable[tuple[float, complex]]) -> tup
     superposition (when the terms come from a conditioned measurement branch,
     that squared norm is the post-selection probability).
     """
-    merged = _merge(terms)
+    merged = merge_terms(terms)
     if not merged:
         raise ZeroVector("superposition cancelled to the zero function")
     shifts = tuple(mu for mu, _ in merged)

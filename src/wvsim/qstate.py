@@ -8,6 +8,7 @@ simplicity win over sparse machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import BasisMismatch, DuplicateLabel, NotHermitian, ZeroVector
 
 HERMITICITY_TOL = 1e-12
+DIAGONAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,21 @@ class Observable:
         if values is None:
             values = labels
         return cls(labels, np.diag(np.asarray(values, dtype=complex)))
+
+    @cached_property
+    def eigenbasis(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Eigenvalues and, if the matrix is not diagonal, its eigenvectors as
+        columns; None means the label basis already diagonalizes it. Computed
+        once per observable; both arrays are read-only."""
+        m = self.matrix
+        off = m - np.diag(np.diagonal(m))
+        if np.max(np.abs(off)) <= DIAGONAL_TOL:
+            vals, vecs = np.real(np.diagonal(m)).copy(), None
+        else:
+            vals, vecs = np.linalg.eigh(m)
+            vecs.flags.writeable = False
+        vals.flags.writeable = False
+        return vals, vecs
 
 
 def make_state(pairs: Iterable[tuple[int, complex]]) -> SystemState:

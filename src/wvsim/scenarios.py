@@ -21,15 +21,13 @@ import numpy as np
 from .errors import InvalidAngle, InvalidData
 from .measurement import (
     CouplingConfig,
-    couple,
     no_postselect_mixture,
     post_select,
-    postselect_probability_drift,
     weak_value,
     weakness_metric,
 )
 from .pointer import bures_mixed, bures_pure, gaussian, mean_position
-from .qstate import Observable, SystemState, expectation, make_state
+from .qstate import Observable, SystemState, expectation, inner, make_state
 
 DEFAULT_EPSILON_GRID = tuple(float(e) for e in np.geomspace(1e-3, 1e-2, 8))
 WEAKNESS_THRESHOLD = 1e-2
@@ -129,7 +127,9 @@ def run_comparison(specs: Iterable[ScenarioSpec],
     pre-selected-only scenario sharing g and delta. The eigenvalue reference
     pointer for each epsilon is the initial Gaussian rigidly shifted by
     g * eps * a, with a the common target value (the weak value of the first
-    scenario, which must match the expectation value of the second).
+    scenario, which must match the expectation value of the second). An
+    explicit `epsilon_grid` replaces the post-selected scenario's grid and is
+    validated the same way.
     """
     specs = list(specs)
     selected = [s for s in specs if s.post is not None]
@@ -144,16 +144,15 @@ def run_comparison(specs: Iterable[ScenarioSpec],
     if abs(a_exp - a_ref) > 1e-9:
         raise ValueError(
             f"scenarios target different values: weak {a_ref} vs expectation {a_exp}")
-    grid = tuple(float(e) for e in (epsilon_grid if epsilon_grid is not None
-                                    else weak.epsilon_grid))
+    if epsilon_grid is not None:
+        weak = replace(weak, epsilon_grid=epsilon_grid)
     rows = []
-    for eps in grid:
+    for eps in weak.epsilon_grid:
         cfg = replace(weak.cfg, epsilon=eps)
         phi0 = gaussian(0.0, cfg.delta)
         phi_e = gaussian(cfg.g * eps * a_ref, cfg.delta)
-        result = post_select(couple(weak.pre, weak.observable, cfg, phi0), weak.post)
-        rho = no_postselect_mixture(
-            couple(expect.pre, expect.observable, replace(expect.cfg, epsilon=eps), phi0))
+        result = post_select(weak.pre, weak.post, weak.observable, cfg)
+        rho = no_postselect_mixture(expect.pre, expect.observable, cfg)
         rows.append(ComparisonRow(
             epsilon=eps,
             d_eigen=bures_pure(phi0, phi_e),
@@ -196,10 +195,10 @@ def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> list[Am
     rows = []
     for alpha in alphas:
         spec = spin_amplification_scenario(alpha, cfg)
-        joint = couple(spec.pre, spec.observable, cfg, gaussian(0.0, cfg.delta))
-        result = post_select(joint, spec.post)
+        result = post_select(spec.pre, spec.post, spec.observable, cfg)
         metric = weakness_metric(spec.pre, spec.post, spec.observable, cfg)
-        drift = postselect_probability_drift(spec.pre, spec.post, spec.observable, cfg)
+        p0 = abs(inner(spec.post, spec.pre)) ** 2
+        drift = abs(result.probability - p0) / p0
         rows.append(AmplificationRow(
             tan_half_alpha=math.tan(alpha / 2),
             mean_shift_over_g_eps=mean_position(result.pointer) / (cfg.g * cfg.epsilon),

@@ -13,7 +13,6 @@ from wvsim import (
     Observable,
     amplification_sweep,
     bures_pure,
-    couple,
     effective_shift_check,
     expectation,
     fit_power_law,
@@ -82,8 +81,7 @@ def test_criterion_4_expectation_vs_eigen_distance():
 def test_criterion_5_postselection_probability():
     spec = weak_value_one_scenario(CFG)
     cfg = CouplingConfig(g=1.0, epsilon=1e-4, delta=1.0)
-    p = post_select(couple(spec.pre, spec.observable, cfg, gaussian(0.0, 1.0)),
-                    spec.post).probability
+    p = post_select(spec.pre, spec.post, spec.observable, cfg).probability
     report(5, "post-selection probability", abs(p - 0.1) <= 1e-4,
            f"p={p:.10f}, |p-0.1|={abs(p - 0.1):.2e} <= 1e-4")
 
@@ -96,8 +94,8 @@ def test_criterion_6_oracle_equivalence():
         cfg = CouplingConfig(g=1.0, epsilon=eps, delta=1.0)
         phi0 = gaussian(0.0, 1.0)
         phi_e = gaussian(cfg.g * eps, 1.0)
-        phi_w = post_select(couple(weak.pre, weak.observable, cfg, phi0), weak.post).pointer
-        rho = no_postselect_mixture(couple(expect.pre, expect.observable, cfg, phi0))
+        phi_w = post_select(weak.pre, weak.post, weak.observable, cfg).pointer
+        rho = no_postselect_mixture(expect.pre, expect.observable, cfg)
         states = [phi0, phi_e, phi_w] + [comp for _, comp in rho.components]
         for i, a in enumerate(states):
             for b in states[i:]:
@@ -155,9 +153,9 @@ def test_criterion_9_property_suite(capsys):
     parts.append(("phase/scale invariance", worst <= 1e-12))
 
     # post-selection probabilities over an orthonormal basis sum to one
-    joint = couple(pre, a, CouplingConfig(1.0, 0.05, 1.0), gaussian(0.0, 1.0))
+    cfg = CouplingConfig(1.0, 0.05, 1.0)
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-    total = sum(post_select(joint, make_state(list(zip(labels, q[:, k])))).probability
+    total = sum(post_select(pre, make_state(list(zip(labels, q[:, k]))), a, cfg).probability
                 for k in range(5))
     parts.append(("completeness", abs(total - 1.0) <= 1e-10))
 

@@ -1,6 +1,9 @@
 """Command-line interface: grammar, CSV contract, exit codes, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +133,26 @@ class TestCompareCommand:
         code, _, _ = run(capsys, "compare", "--g", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("compare", "--g", "nan", "--eps", "1e-3"),
+        ("compare", "--eps", "inf"),
+        ("weak-value", "--pre=0:1,1:nan", "--post=0:1,1:1", "--obs", "diag"),
+        ("weak-value", "--pre=0:1,1:inf", "--post=0:1,1:1", "--obs", "diag"),
+        ("compare", "--eps-grid", "nan:1e-2:4:log"),
+        ("compare", "--eps-grid", "1e-3:inf:4:log"),
+    ])
+    def test_non_finite_number_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_grid_that_rounds_to_repeated_values_exits_2(self, capsys):
+        code, out, err = run(capsys, "compare", "--eps-grid", "1:1.0000000000000002:5:lin")
+        assert code == 2
+        assert out == ""
+        assert "epsilon grid must be strictly increasing" in err
+
     def test_out_file_lf_endings(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run(capsys, "compare", "--eps", "0.01", "--out", str(target))
@@ -212,3 +235,37 @@ class TestNumberFormatting:
         for line in data[1:]:
             for cell in line.split(","):
                 float(cell)  # every cell parses back
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_examples() -> list[tuple[str, list[str]]]:
+    """(`wvsim ...` command, shown output lines) for each `$ wvsim` line in a
+    fenced block of the README."""
+    examples, shown = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            shown = None
+        elif line.startswith("$ wvsim "):
+            shown = []
+            examples.append((line[2:], shown))
+        elif shown is not None and line.strip():
+            shown.append(line)
+    return examples
+
+
+def test_readme_lists_examples():
+    assert [cmd.split()[1] for cmd, _ in readme_examples()] == ["weak-value", "compare", "amplify"]
+
+
+@pytest.mark.parametrize("command, shown", [pytest.param(cmd, shown, id=cmd)
+                                            for cmd, shown in readme_examples()])
+def test_readme_example_output(capsys, command, shown):
+    """The output lines the README shows are the real output in order; a
+    `...` line stands for any run of elided rows."""
+    code, out, _ = run(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    pattern = "".join(r"(?:[^\n]*\n)*?" if line == "..." else re.escape(line) + r"\n"
+                      for line in shown)
+    assert re.fullmatch(pattern, out), out

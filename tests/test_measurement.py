@@ -11,18 +11,16 @@ from wvsim import (
     Observable,
     OrthogonalSelection,
     PostSelectionImpossible,
-    WidthMismatch,
     bures_mixed,
     bures_pure,
-    couple,
     effective_shift_check,
     expectation,
     gaussian,
+    inner,
     make_state,
     mean_position,
     no_postselect_mixture,
     post_select,
-    postselect_probability_drift,
     superpose,
     weak_value,
     weakness_metric,
@@ -90,15 +88,14 @@ class TestWeakValue:
 class TestCouple:
     def test_eigenstate_single_populated_branch(self):
         e1 = make_state([(-1, 0), (0, 0), (1, 1)])
-        joint = couple(e1, A3, cfg(), gaussian(0.0, 1.0))
-        populated = [(mu, amp) for mu, amp in zip(joint.shifts, joint.amplitudes) if amp != 0]
-        assert populated == [(0.01, 1 + 0j)]
+        result = post_select(e1, e1, A3, cfg())
+        assert result.pointer.terms == ((0.01, 1 + 0j),)
+        assert result.probability == 1.0
 
     def test_superposition_branch_shifts(self):
         a = Observable.diagonal((0, 1, 2))
-        pre = make_state([(0, 1), (1, 0), (2, 1)])
-        joint = couple(pre, a, cfg(), gaussian(0.0, 1.0))
-        assert joint.shifts == (0.0, 0.01, 0.02)
+        pre = make_state([(0, 1), (1, 1), (2, 1)])
+        assert post_select(pre, pre, a, cfg()).pointer.shifts == (0.0, 0.01, 0.02)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(12)
@@ -106,43 +103,31 @@ class TestCouple:
         for _ in range(20):
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
             pre = make_state(list(zip(labels, amps)))
-            joint = couple(pre, Observable.diagonal(labels), cfg(), gaussian(0.0, 1.0))
-            assert sum(abs(c) ** 2 for c in joint.amplitudes) == pytest.approx(1.0, abs=1e-12)
+            mix = no_postselect_mixture(pre, Observable.diagonal(labels), cfg())
+            assert sum(p for p, _ in mix.components) == pytest.approx(1.0, abs=1e-12)
 
     def test_vanishing_coupling_limit_is_product_state(self):
-        joint = couple(PRE3, A3, cfg(eps=1e-15), gaussian(0.0, 1.0))
-        assert max(abs(mu) for mu in joint.shifts) <= 1e-15
-        result = post_select(joint, PRE3)
+        result = post_select(PRE3, PRE3, A3, cfg(eps=1e-15))
+        assert max(abs(mu) for mu in result.pointer.shifts) <= 1e-15
         assert result.probability == pytest.approx(1.0, abs=1e-12)
         assert bures_pure(result.pointer, gaussian(0.0, 1.0)) < 1e-12
 
     def test_non_diagonal_observable_goes_through_eigenbasis(self):
         sigma_x = Observable((0, 1), np.array([[0, 1], [1, 0]], dtype=complex))
         pre = make_state([(0, 1), (1, 0)])
-        joint = couple(pre, sigma_x, cfg(), gaussian(0.0, 1.0))
-        assert sorted(joint.shifts) == pytest.approx([-0.01, 0.01])
-        np.testing.assert_allclose([abs(a) for a in joint.amplitudes],
-                                   [1 / math.sqrt(2)] * 2, atol=1e-12)
-        result = post_select(joint, pre)
+        mix = no_postselect_mixture(pre, sigma_x, cfg())
+        assert [state.shifts[0] for _, state in mix.components] == pytest.approx([-0.01, 0.01])
+        np.testing.assert_allclose([p for p, _ in mix.components], [0.5, 0.5], atol=1e-12)
+        result = post_select(pre, pre, sigma_x, cfg())
         # (G_+ + G_-)/norm: symmetric, and P(0) = (1 + exp(-(2 g eps)^2/8))/2
         assert mean_position(result.pointer) == pytest.approx(0.0, abs=1e-12)
         assert result.probability == pytest.approx((1 + math.exp(-0.02 ** 2 / 8)) / 2, abs=1e-14)
-
-    def test_pointer_width_must_match_config(self):
-        with pytest.raises(WidthMismatch):
-            couple(PRE3, A3, cfg(delta=1.0), gaussian(0.0, 2.0))
-
-    def test_multi_term_pointer_rejected(self):
-        two = superpose([(1.0, gaussian(0.0, 1.0)), (1.0, gaussian(1.0, 1.0))])
-        with pytest.raises(ValueError):
-            couple(PRE3, A3, cfg(), two)
 
 
 class TestPostSelect:
     def test_conditioned_pointer_and_probability(self):
         g, eps = 1.0, 0.01
-        joint = couple(PRE3, A3, cfg(eps), gaussian(0.0, 1.0))
-        result = post_select(joint, POST3)
+        result = post_select(PRE3, POST3, A3, cfg(eps))
         expected = superpose([(2.0, gaussian(0.0, 1.0)), (-1.0, gaussian(-g * eps, 1.0))])
         assert bures_pure(result.pointer, expected) == pytest.approx(0.0, abs=1e-7)
         # exact Gram-matrix probability: (5 - 4 exp(-(g eps)^2/8))/10
@@ -151,23 +136,20 @@ class TestPostSelect:
 
     def test_probability_approaches_selection_overlap_squared(self):
         for eps in (1e-3, 1e-4, 1e-5):
-            joint = couple(PRE3, A3, cfg(eps), gaussian(0.0, 1.0))
-            p = post_select(joint, POST3).probability
+            p = post_select(PRE3, POST3, A3, cfg(eps)).probability
             assert abs(p - 0.1) < eps ** 2
 
     def test_impossible_when_orthogonal_with_identical_shifts(self):
         ident = Observable.diagonal((0, 1), [1.0, 1.0])
         pre = make_state([(0, 1), (1, 1)])
         post = make_state([(0, 1), (1, -1)])
-        joint = couple(pre, ident, cfg(), gaussian(0.0, 1.0))
         with pytest.raises(PostSelectionImpossible):
-            post_select(joint, post)
+            post_select(pre, post, ident, cfg())
 
     def test_orthogonal_selection_with_distinct_shifts_still_possible(self):
         pre = make_state([(-1, 1), (0, 0), (1, 1)])
         post = make_state([(-1, 1), (0, 0), (1, -1)])
-        joint = couple(pre, A3, cfg(0.1), gaussian(0.0, 1.0))
-        result = post_select(joint, post)
+        result = post_select(pre, post, A3, cfg(0.1))
         # back-action alone feeds the orthogonal branch: p = (1 - exp(-(2 g eps)^2/8))/2
         assert result.probability == pytest.approx((1 - math.exp(-0.2 ** 2 / 8)) / 2, abs=1e-14)
         assert 0 < result.probability < 1e-2
@@ -179,25 +161,23 @@ class TestPostSelect:
         for _ in range(10):
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
             pre = make_state(list(zip(labels, amps)))
-            joint = couple(pre, a, cfg(0.3), gaussian(0.0, 1.0))
             q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
             total = 0.0
             for k in range(4):
                 post = make_state(list(zip(labels, q[:, k])))
-                total += post_select(joint, post).probability
+                total += post_select(pre, post, a, cfg(0.3)).probability
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_basis_mismatch(self):
-        joint = couple(PRE3, A3, cfg(), gaussian(0.0, 1.0))
         with pytest.raises(BasisMismatch):
-            post_select(joint, make_state([(0, 1), (1, 1), (2, 1)]))
+            post_select(PRE3, make_state([(0, 1), (1, 1), (2, 1)]), A3, cfg())
 
 
 class TestNoPostselectMixture:
     def test_equal_weights_at_zero_and_double_shift(self):
         a = Observable.diagonal((0, 1, 2))
         pre = make_state([(0, 1), (1, 0), (2, 1)])
-        mix = no_postselect_mixture(couple(pre, a, cfg(), gaussian(0.0, 1.0)))
+        mix = no_postselect_mixture(pre, a, cfg())
         weights = [p for p, _ in mix.components]
         shifts = [state.shifts[0] for _, state in mix.components]
         np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-14)
@@ -205,7 +185,7 @@ class TestNoPostselectMixture:
 
     def test_eigenstate_gives_pure_single_component(self):
         e1 = make_state([(-1, 0), (0, 0), (1, 1)])
-        mix = no_postselect_mixture(couple(e1, A3, cfg(), gaussian(0.0, 1.0)))
+        mix = no_postselect_mixture(e1, A3, cfg())
         assert len(mix.components) == 1
         p, state = mix.components[0]
         assert p == pytest.approx(1.0)
@@ -214,13 +194,13 @@ class TestNoPostselectMixture:
     def test_three_equal_born_weights(self):
         a = Observable.diagonal((0, 1, 2))
         pre = make_state([(0, 1), (1, 1), (2, 1)])
-        mix = no_postselect_mixture(couple(pre, a, cfg(), gaussian(0.0, 1.0)))
+        mix = no_postselect_mixture(pre, a, cfg())
         np.testing.assert_allclose([p for p, _ in mix.components], [1 / 3] * 3, atol=1e-14)
 
     def test_degenerate_shifts_merge(self):
         ident = Observable.diagonal((0, 1), [1.0, 1.0])
         pre = make_state([(0, 1), (1, 1j)])
-        mix = no_postselect_mixture(couple(pre, ident, cfg(), gaussian(0.0, 1.0)))
+        mix = no_postselect_mixture(pre, ident, cfg())
         assert len(mix.components) == 1
         assert mix.components[0][1].shifts == (0.01,)
 
@@ -252,11 +232,15 @@ class TestWeaknessMetric:
         pre = make_state([(-1, (c - s) * inv), (1, (c + s) * inv)])
         post = make_state([(-1, inv), (1, inv)])
         sz = Observable.diagonal((-1, 1))
+        p0 = abs(inner(post, pre)) ** 2
+
+        def drift(c):
+            return abs(post_select(pre, post, sz, c).probability - p0) / p0
+
         strong = cfg(0.1)
         assert weakness_metric(pre, post, sz, strong) < 1e-2
-        assert postselect_probability_drift(pre, post, sz, strong) > 1.0
-        weak = cfg(1e-4)
-        assert postselect_probability_drift(pre, post, sz, weak) < 1e-3
+        assert drift(strong) > 1.0
+        assert drift(cfg(1e-4)) < 1e-3
 
 
 class TestEffectiveShiftCheck:
@@ -293,11 +277,9 @@ class TestScalingLaw:
             g = 1.0
             phi0 = gaussian(0.0, 1.0)
             phi_e = gaussian(g * eps, 1.0)
-            joint = couple(PRE3, A3, cfg(eps), phi0)
-            phi_w = post_select(joint, POST3).pointer
-            mix = no_postselect_mixture(couple(
-                make_state([(0, 1), (1, 0), (2, 1)]), Observable.diagonal((0, 1, 2)),
-                cfg(eps), phi0))
+            phi_w = post_select(PRE3, POST3, A3, cfg(eps)).pointer
+            mix = no_postselect_mixture(
+                make_state([(0, 1), (1, 0), (2, 1)]), Observable.diagonal((0, 1, 2)), cfg(eps))
             d_ref = bures_pure(phi0, phi_e)
             assert bures_pure(phi_e, phi_w) / d_ref < 0.05
             assert bures_mixed(phi_e, mix) / d_ref == pytest.approx(1.0, rel=1e-3)

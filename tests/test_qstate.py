@@ -128,6 +128,27 @@ class TestObservable:
         with pytest.raises(ValueError):
             a.matrix[0, 0] = 5.0
 
+    def test_eigenbasis_of_diagonal_matrix_is_the_label_basis(self):
+        vals, vecs = Observable.diagonal((-1, 0, 2)).eigenbasis
+        assert vals.tolist() == [-1.0, 0.0, 2.0]
+        assert vecs is None
+
+    def test_eigenbasis_is_computed_once_and_read_only(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        sigma_x = Observable((0, 1), np.array([[0, 1], [1, 0]], dtype=complex))
+        vals, vecs = sigma_x.eigenbasis
+        assert sigma_x.eigenbasis[1] is vecs
+        assert len(calls) == 1
+        np.testing.assert_allclose(vals, [-1.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.conj().T, sigma_x.matrix,
+                                   atol=1e-15)
+        with pytest.raises(ValueError):
+            vals[0] = 5.0
+        with pytest.raises(ValueError):
+            vecs[0, 0] = 5.0
+
 
 def _random_state(rng, labels):
     amps = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))

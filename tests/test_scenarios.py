@@ -121,6 +121,13 @@ class TestRunComparison:
         with pytest.raises(ValueError):
             run_comparison([weak_value_one_scenario(CFG), expectation_scenario(other)])
 
+    def test_explicit_grid_is_validated_like_the_spec_grid(self):
+        specs = [weak_value_one_scenario(CFG), expectation_scenario(CFG)]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            run_comparison(specs, [0.01, 0.01])
+        with pytest.raises(ValueError, match="strictly positive"):
+            run_comparison(specs, [0.0, 0.01])
+
 
 class TestScenarioSpec:
     def test_default_grid(self):
