@@ -1,111 +1,4 @@
 """Simulator of von Neumann weak measurements on pre- and post-selected
 finite-dimensional systems, with exact Gaussian pointer algebra."""
 
-from .errors import (
-    BasisMismatch,
-    DuplicateLabel,
-    InvalidAngle,
-    InvalidData,
-    InvalidWidth,
-    NotHermitian,
-    OrthogonalSelection,
-    PostSelectionImpossible,
-    RangeTooNarrow,
-    SimulationError,
-    WidthMismatch,
-    ZeroVector,
-)
-from .measurement import (
-    CouplingConfig,
-    PostSelectionResult,
-    ShiftCheck,
-    effective_shift_check,
-    no_postselect_mixture,
-    post_select,
-    weak_value,
-    weakness_metric,
-)
-from .pointer import (
-    GridFunction,
-    PointerMixture,
-    PointerState,
-    bures_mixed,
-    bures_pure,
-    gaussian,
-    grid_inner,
-    grid_overlap,
-    mean_position,
-    overlap,
-    superpose,
-    to_grid,
-)
-from .qstate import Observable, SystemState, apply, expectation, inner, make_state
-from .scenarios import (
-    DEFAULT_EPSILON_GRID,
-    WEAKNESS_THRESHOLD,
-    AmplificationRow,
-    ComparisonRow,
-    PowerLawFit,
-    ScenarioSpec,
-    amplification_sweep,
-    expectation_scenario,
-    fit_power_law,
-    run_comparison,
-    spin_amplification_scenario,
-    weak_value_one_scenario,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmplificationRow",
-    "BasisMismatch",
-    "ComparisonRow",
-    "CouplingConfig",
-    "DEFAULT_EPSILON_GRID",
-    "DuplicateLabel",
-    "GridFunction",
-    "InvalidAngle",
-    "InvalidData",
-    "InvalidWidth",
-    "NotHermitian",
-    "Observable",
-    "OrthogonalSelection",
-    "PointerMixture",
-    "PointerState",
-    "PostSelectionImpossible",
-    "PostSelectionResult",
-    "PowerLawFit",
-    "RangeTooNarrow",
-    "ScenarioSpec",
-    "ShiftCheck",
-    "SimulationError",
-    "SystemState",
-    "WEAKNESS_THRESHOLD",
-    "WidthMismatch",
-    "ZeroVector",
-    "amplification_sweep",
-    "apply",
-    "bures_mixed",
-    "bures_pure",
-    "effective_shift_check",
-    "expectation",
-    "expectation_scenario",
-    "fit_power_law",
-    "gaussian",
-    "grid_inner",
-    "grid_overlap",
-    "inner",
-    "make_state",
-    "mean_position",
-    "no_postselect_mixture",
-    "overlap",
-    "post_select",
-    "run_comparison",
-    "spin_amplification_scenario",
-    "superpose",
-    "to_grid",
-    "weak_value",
-    "weak_value_one_scenario",
-    "weakness_metric",
-]

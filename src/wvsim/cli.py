@@ -19,11 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import scenarios
-from .errors import (
-    OrthogonalSelection,
-    PostSelectionImpossible,
-    SimulationError,
-)
+from .errors import InvalidData, OrthogonalSelection
 from .measurement import CouplingConfig, weak_value
 from .qstate import Observable, SystemState, make_state
 
@@ -31,10 +27,6 @@ DEFAULT_GRID_SPEC = "1e-3:1e-2:8:log"
 COMPARE_COLUMNS = ("epsilon", "d_eigen", "d_weak_vs_eigen", "d_expect_vs_eigen",
                    "p_postselect", "weakness")
 AMPLIFY_COLUMNS = ("tan_half_alpha", "mean_shift_over_g_eps", "p_postselect", "weak_flag")
-
-
-class UsageError(Exception):
-    """Bad flags, specs or config file contents; maps to exit code 2."""
 
 
 def fmt(x: float) -> str:
@@ -51,13 +43,13 @@ def parse_amplitude(text: str) -> complex:
     """Amplitude grammar: `a`, `a+bi` or `a-bi` with real a, b."""
     s = text.strip().replace("−", "-")
     if not s:
-        raise UsageError("empty amplitude")
+        raise InvalidData("empty amplitude")
     try:
         z = complex(s[:-1] + "j") if s.endswith("i") else complex(float(s))
     except ValueError:
-        raise UsageError(f"bad amplitude {text!r}; use a, a+bi or a-bi") from None
+        raise InvalidData(f"bad amplitude {text!r}; use a, a+bi or a-bi") from None
     if not cmath.isfinite(z):
-        raise UsageError(f"amplitude {text!r} is not finite")
+        raise InvalidData(f"amplitude {text!r} is not finite")
     return z
 
 
@@ -68,54 +60,45 @@ def parse_state_spec(spec: str) -> SystemState:
         chunk = chunk.strip().replace("−", "-")
         label_s, sep, amp_s = chunk.partition(":")
         if not sep:
-            raise UsageError(f"missing ':' in state term {chunk!r}")
+            raise InvalidData(f"missing ':' in state term {chunk!r}")
         try:
             label = int(label_s)
         except ValueError:
-            raise UsageError(f"bad basis label {label_s!r}") from None
+            raise InvalidData(f"bad basis label {label_s!r}") from None
         pairs.append((label, parse_amplitude(amp_s)))
-    if not pairs:
-        raise UsageError("empty state spec")
-    try:
-        return make_state(pairs)
-    except SimulationError as exc:
-        raise UsageError(str(exc)) from None
+    return make_state(pairs)
 
 
 def parse_observable_spec(spec: str, labels: tuple[int, ...]) -> Observable:
-    """Observable grammar: `diag` (A = sum_j j|j><j|), `proj:<j>`, `sigmaz`."""
+    """Observable grammar: `diag` (A = sum_j j|j><j|) or `proj:<j>`."""
     s = spec.strip()
     if s == "diag":
-        return Observable.diagonal(labels)
-    if s == "sigmaz":
-        if labels != (-1, 1):
-            raise UsageError(f"sigmaz needs basis labels -1,+1, got {labels}")
         return Observable.diagonal(labels)
     if s.startswith("proj:"):
         try:
             j = int(s[len("proj:"):])
         except ValueError:
-            raise UsageError(f"bad projector label in {spec!r}") from None
+            raise InvalidData(f"bad projector label in {spec!r}") from None
         if j not in labels:
-            raise UsageError(f"projector label {j} not in basis {labels}")
+            raise InvalidData(f"projector label {j} not in basis {labels}")
         return Observable.diagonal(labels, [1.0 if lab == j else 0.0 for lab in labels])
-    raise UsageError(f"unknown observable spec {spec!r}; use diag, proj:<j> or sigmaz")
+    raise InvalidData(f"unknown observable spec {spec!r}; use diag or proj:<j>")
 
 
 def parse_grid_spec(text: str) -> tuple[tuple[float, ...], str]:
     """Grid grammar `lo:hi:n:log|lin`; returns the grid and a canonical echo."""
     parts = str(text).strip().split(":")
     if len(parts) != 4:
-        raise UsageError(f"epsilon grid spec must be lo:hi:n:log|lin, got {text!r}")
+        raise InvalidData(f"epsilon grid spec must be lo:hi:n:log|lin, got {text!r}")
     try:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
-        raise UsageError(f"bad epsilon grid spec {text!r}") from None
+        raise InvalidData(f"bad epsilon grid spec {text!r}") from None
     kind = parts[3]
     if kind not in ("log", "lin"):
-        raise UsageError(f"grid kind must be log or lin, got {kind!r}")
+        raise InvalidData(f"grid kind must be log or lin, got {kind!r}")
     if not 0 < lo < hi < math.inf or n < 2:
-        raise UsageError("epsilon grid needs finite 0 < lo < hi and n >= 2")
+        raise InvalidData("epsilon grid needs finite 0 < lo < hi and n >= 2")
     grid = np.geomspace(lo, hi, n) if kind == "log" else np.linspace(lo, hi, n)
     return tuple(float(e) for e in grid), f"{fmt(lo)}:{fmt(hi)}:{n}:{kind}"
 
@@ -124,9 +107,9 @@ def load_config(path: str) -> dict:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
+        raise InvalidData(f"cannot read config file {path}: {exc}") from None
     if not isinstance(data, dict):
-        raise UsageError("config file must hold a flat JSON object")
+        raise InvalidData("config file must hold a flat JSON object")
     return data
 
 
@@ -143,9 +126,9 @@ def positive(value, name: str) -> float:
     try:
         x = float(value)
     except (TypeError, ValueError):
-        raise UsageError(f"{name} must be a number, got {value!r}") from None
+        raise InvalidData(f"{name} must be a number, got {value!r}") from None
     if not 0 < x < math.inf:
-        raise UsageError(f"{name} must be positive and finite, got {x}")
+        raise InvalidData(f"{name} must be positive and finite, got {x}")
     return x
 
 
@@ -179,11 +162,11 @@ def cmd_weak_value(args: argparse.Namespace, config: dict) -> int:
     post_spec = pick(args.post, config, "post")
     obs_spec = pick(args.obs, config, "obs")
     if not pre_spec or not post_spec or not obs_spec:
-        raise UsageError("weak-value needs --pre, --post and --obs")
+        raise InvalidData("weak-value needs --pre, --post and --obs")
     pre = parse_state_spec(str(pre_spec))
     post = parse_state_spec(str(post_spec))
     if pre.labels != post.labels:
-        raise UsageError(f"pre and post bases differ: {pre.labels} vs {post.labels}")
+        raise InvalidData(f"pre and post bases differ: {pre.labels} vs {post.labels}")
     value = weak_value(pre, post, parse_observable_spec(str(obs_spec), pre.labels))
     emit(args.out, format_complex(value) + "\n")
     return 0
@@ -193,13 +176,13 @@ def cmd_compare(args: argparse.Namespace, config: dict) -> int:
     g = positive(pick(args.g, config, "g", 1.0), "g")
     delta = positive(pick(args.delta, config, "delta", 1.0), "delta")
     if args.eps is not None and args.eps_grid is not None:
-        raise UsageError("--eps and --eps-grid are mutually exclusive")
+        raise InvalidData("--eps and --eps-grid are mutually exclusive")
     if args.eps is not None or args.eps_grid is not None:
         eps, grid_spec = args.eps, args.eps_grid
     else:
         eps, grid_spec = config.get("eps"), config.get("eps-grid")
         if eps is not None and grid_spec is not None:
-            raise UsageError("config file sets both eps and eps-grid")
+            raise InvalidData("config file sets both eps and eps-grid")
     if eps is not None:
         grid = (positive(eps, "eps"),)
         echo = f"eps={fmt(grid[0])}"
@@ -233,16 +216,21 @@ def cmd_amplify(args: argparse.Namespace, config: dict) -> int:
     eps = positive(pick(args.eps, config, "eps", 1e-4), "eps")
     tan_spec = pick(args.alpha_tan, config, "alpha-tan")
     if tan_spec is None or not str(tan_spec).strip():
-        raise UsageError("amplify needs --alpha-tan with comma-separated tan(alpha/2) values")
+        raise InvalidData("amplify needs --alpha-tan with comma-separated tan(alpha/2) values")
     tans = []
     for part in str(tan_spec).split(","):
         if not part.strip():
             continue
         tans.append(positive(part, "alpha-tan value"))
     if not tans:
-        raise UsageError("amplify needs at least one tan(alpha/2) value")
+        raise InvalidData("amplify needs at least one tan(alpha/2) value")
+    alphas = [2.0 * math.atan(t) for t in tans]
+    for t, alpha in zip(tans, alphas):
+        if alpha >= math.pi:
+            raise InvalidData(f"alpha-tan value {fmt(t)} is too large: "
+                              f"alpha = 2*atan(t) rounds to pi")
     cfg = CouplingConfig(g=g, epsilon=eps, delta=delta)
-    rows = scenarios.amplification_sweep([2.0 * math.atan(t) for t in tans], cfg)
+    rows = scenarios.amplification_sweep(alphas, cfg)
     cells = [(fmt(r.tan_half_alpha), fmt(r.mean_shift_over_g_eps),
               fmt(r.postselect_probability), "true" if r.weak else "false")
              for r in rows]
@@ -271,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     wv = sub.add_parser("weak-value", help="print <post|A|pre>/<post|pre>")
     wv.add_argument("--pre", metavar="SPEC", help="state spec, e.g. -1:1,0:1")
     wv.add_argument("--post", metavar="SPEC", help="state spec, e.g. -1:1,0:-2")
-    wv.add_argument("--obs", metavar="SPEC", help="diag, proj:<j> or sigmaz")
+    wv.add_argument("--obs", metavar="SPEC", help="diag or proj:<j>")
     common(wv)
 
     cp = sub.add_parser("compare",
@@ -303,13 +291,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return cmd_compare(args, config)
         return cmd_amplify(args, config)
-    except UsageError as exc:
-        print(f"wvsim: error: {exc}", file=sys.stderr)
-        return 2
-    except (OrthogonalSelection, PostSelectionImpossible) as exc:
+    except OrthogonalSelection as exc:
         print(f"wvsim: {exc}", file=sys.stderr)
         return 3
-    except (SimulationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"wvsim: error: {exc}", file=sys.stderr)
         return 2
 

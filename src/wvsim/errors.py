@@ -1,49 +1,13 @@
-"""Exception types shared across the simulator."""
+"""The two ways a wvsim computation fails, told apart by what a caller can do:
+fix the input, or pick a selection with non-zero probability."""
 
 
-class SimulationError(Exception):
-    """Base class for every domain error raised by this package."""
+class InvalidData(ValueError):
+    """An input wvsim rejects: malformed, out of range, or inconsistent with
+    another input. The CLI exits 2."""
 
 
-class ZeroVector(SimulationError):
-    """A construction produced the zero vector."""
-
-
-class DuplicateLabel(SimulationError):
-    """A basis label appeared more than once."""
-
-
-class BasisMismatch(SimulationError):
-    """Two objects live on different bases."""
-
-
-class NotHermitian(SimulationError):
-    """An observable matrix is not Hermitian."""
-
-
-class InvalidWidth(SimulationError):
-    """Pointer width must be positive."""
-
-
-class WidthMismatch(SimulationError):
-    """Pointer states of different widths were combined."""
-
-
-class RangeTooNarrow(SimulationError):
-    """Grid range does not cover the wavefunction support."""
-
-
-class OrthogonalSelection(SimulationError):
-    """Pre- and post-selection are orthogonal; the weak value is undefined."""
-
-
-class PostSelectionImpossible(SimulationError):
-    """The conditioned pointer state has exactly zero norm."""
-
-
-class InvalidAngle(SimulationError):
-    """Spin scenario angle outside (0, pi)."""
-
-
-class InvalidData(SimulationError):
-    """Power-law fit input is unusable."""
+class OrthogonalSelection(Exception):
+    """The pre- and post-selection have zero overlap, or the post-selection
+    has zero probability, so the weak value or the conditioned pointer is
+    undefined. The CLI exits 3."""

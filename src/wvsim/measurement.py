@@ -9,12 +9,13 @@ system state, which is where weak values enter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BasisMismatch, OrthogonalSelection, PostSelectionImpossible, ZeroVector
+from .errors import InvalidData, OrthogonalSelection
 from .pointer import (
     PointerMixture,
     PointerState,
@@ -37,9 +38,10 @@ class CouplingConfig:
     delta: float
 
     def __post_init__(self):
-        if self.g <= 0 or self.epsilon <= 0 or self.delta <= 0:
-            raise ValueError(
-                f"g, epsilon and delta must be positive, got "
+        if not (0 < self.g < math.inf and 0 < self.epsilon < math.inf
+                and 0 < self.delta < math.inf):
+            raise InvalidData(
+                f"g, epsilon and delta must be positive and finite, got "
                 f"({self.g}, {self.epsilon}, {self.delta})")
 
 
@@ -57,13 +59,12 @@ class ShiftCheck(NamedTuple):
     distance: float
 
 
-def weak_value(pre: SystemState, post: SystemState, a: Observable,
-               floor: float = DEFAULT_OVERLAP_FLOOR) -> complex:
+def weak_value(pre: SystemState, post: SystemState, a: Observable) -> complex:
     """<post|A|pre> / <post|pre>; complex and unbounded by the spectrum."""
     denom = inner(post, pre)
-    if abs(denom) <= floor:
-        raise OrthogonalSelection(
-            f"|<post|pre>| = {abs(denom):.3e} at or below floor {floor:.3e}")
+    if abs(denom) <= DEFAULT_OVERLAP_FLOOR:
+        raise OrthogonalSelection(f"|<post|pre>| = {abs(denom):.3e} at or below "
+                                  f"floor {DEFAULT_OVERLAP_FLOOR:.3e}")
     numer = complex(np.vdot(post.vector, apply(a, pre)))
     return numer / denom
 
@@ -75,7 +76,7 @@ def _branches(a: Observable, cfg: CouplingConfig, *states: SystemState):
     amps = []
     for state in states:
         if state.labels != a.labels:
-            raise BasisMismatch(f"bases differ: {state.labels} vs {a.labels}")
+            raise InvalidData(f"bases differ: {state.labels} vs {a.labels}")
         amps.append(state.vector if vecs is None else vecs.conj().T @ state.vector)
     return cfg.g * cfg.epsilon * vals, *amps
 
@@ -93,8 +94,8 @@ def post_select(pre: SystemState, post: SystemState, a: Observable,
     weights = np.conj(d) * c
     try:
         pointer, norm_sq = normalize_terms(cfg.delta, zip(kicks, map(complex, weights)))
-    except ZeroVector:
-        raise PostSelectionImpossible(
+    except InvalidData:
+        raise OrthogonalSelection(
             "post-selection amplitude vanishes for every pointer component") from None
     return PostSelectionResult(pointer=pointer, probability=min(norm_sq, 1.0))
 

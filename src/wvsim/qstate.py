@@ -7,13 +7,14 @@ simplicity win over sparse machinery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BasisMismatch, DuplicateLabel, NotHermitian, ZeroVector
+from .errors import InvalidData
 
 HERMITICITY_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
@@ -44,15 +45,15 @@ class Observable:
     def __post_init__(self):
         labels = tuple(int(lab) for lab in self.labels)
         if len(set(labels)) != len(labels):
-            raise DuplicateLabel(f"observable labels {labels} are not distinct")
+            raise InvalidData(f"observable labels {labels} are not distinct")
         if list(labels) != sorted(labels):
-            raise ValueError(f"observable labels {labels} must be sorted ascending")
+            raise InvalidData(f"observable labels {labels} must be sorted ascending")
         m = np.array(self.matrix, dtype=complex)
         n = len(labels)
         if m.shape != (n, n):
-            raise ValueError(f"matrix shape {m.shape} does not match {n} labels")
+            raise InvalidData(f"matrix shape {m.shape} does not match {n} labels")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise NotHermitian("matrix is not equal to its conjugate transpose")
+            raise InvalidData("matrix is not equal to its conjugate transpose")
         m.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matrix", m)
@@ -91,20 +92,27 @@ def make_state(pairs: Iterable[tuple[int, complex]]) -> SystemState:
     seen: set[int] = set()
     for label, _ in items:
         if label in seen:
-            raise DuplicateLabel(f"label {label} given more than once")
+            raise InvalidData(f"label {label} given more than once")
         seen.add(label)
     items.sort(key=lambda t: t[0])
-    vec = np.array([amp for _, amp in items], dtype=complex)
-    norm = np.linalg.norm(vec)
+    # Rescale by a power of two (exact) so the largest real or imaginary part
+    # lies in [0.5, 1): the norm can then neither overflow nor underflow.
+    e = math.frexp(max((max(abs(a.real), abs(a.imag)) for _, a in items), default=0.0))[1]
+    vec = np.array([complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e)) for _, a in items],
+                   dtype=complex)
+    # The sum numpy.linalg.norm forms (so bit-identical), without its
+    # argument handling, which costs more than the arithmetic here.
+    re, im = vec.real, vec.imag
+    norm = math.sqrt(re.dot(re) + im.dot(im))
     if norm == 0.0:
-        raise ZeroVector("all amplitudes are zero")
+        raise InvalidData("all amplitudes are zero")
     vec = vec / norm
     return SystemState(tuple(label for label, _ in items), tuple(map(complex, vec)))
 
 
 def _check_basis(a: tuple[int, ...], b: tuple[int, ...]) -> None:
     if a != b:
-        raise BasisMismatch(f"bases differ: {a} vs {b}")
+        raise InvalidData(f"bases differ: {a} vs {b}")
 
 
 def inner(bra: SystemState, ket: SystemState) -> complex:
@@ -120,7 +128,9 @@ def apply(observable: Observable, state: SystemState) -> np.ndarray:
 
 
 def expectation(observable: Observable, state: SystemState) -> float:
-    """<psi|A|psi>; real for Hermitian A up to rounding."""
+    """<psi|A|psi>; real for Hermitian A up to rounding, which grows with the
+    size of A's entries."""
     val = complex(np.vdot(state.vector, apply(observable, state)))
-    assert abs(val.imag) < 1e-12, "expectation value drifted off the real axis"
+    assert abs(val.imag) <= 1e-12 * np.max(np.abs(observable.matrix)), \
+        "expectation value drifted off the real axis"
     return val.real

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidAngle, InvalidData
+from .errors import InvalidData
 from .measurement import (
     CouplingConfig,
     no_postselect_mixture,
@@ -47,9 +47,9 @@ class ScenarioSpec:
     def __post_init__(self):
         grid = tuple(float(e) for e in self.epsilon_grid)
         if not grid or any(e <= 0 for e in grid):
-            raise ValueError("epsilon grid values must be strictly positive")
+            raise InvalidData("epsilon grid values must be strictly positive")
         if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("epsilon grid must be strictly increasing")
+            raise InvalidData("epsilon grid must be strictly increasing")
         object.__setattr__(self, "epsilon_grid", grid)
 
 
@@ -90,7 +90,7 @@ def spin_amplification_scenario(alpha: float, cfg: CouplingConfig,
     post-selection probability of cos^2(alpha/2).
     """
     if not 0.0 < alpha < math.pi:
-        raise InvalidAngle(f"alpha must lie in (0, pi), got {alpha}")
+        raise InvalidData(f"alpha must lie in (0, pi), got {alpha}")
     c, s = math.cos(alpha / 2), math.sin(alpha / 2)
     inv = 1.0 / math.sqrt(2.0)
     pre = make_state([(-1, (c - s) * inv), (1, (c + s) * inv)])
@@ -135,14 +135,14 @@ def run_comparison(specs: Iterable[ScenarioSpec],
     selected = [s for s in specs if s.post is not None]
     unselected = [s for s in specs if s.post is None]
     if len(selected) != 1 or len(unselected) != 1:
-        raise ValueError("need exactly one post-selected and one pre-selected-only scenario")
+        raise InvalidData("need exactly one post-selected and one pre-selected-only scenario")
     weak, expect = selected[0], unselected[0]
     if (weak.cfg.g, weak.cfg.delta) != (expect.cfg.g, expect.cfg.delta):
-        raise ValueError("scenarios must share g and delta")
+        raise InvalidData("scenarios must share g and delta")
     a_ref = weak_value(weak.pre, weak.post, weak.observable).real
     a_exp = expectation(expect.observable, expect.pre)
     if abs(a_exp - a_ref) > 1e-9:
-        raise ValueError(
+        raise InvalidData(
             f"scenarios target different values: weak {a_ref} vs expectation {a_exp}")
     if epsilon_grid is not None:
         weak = replace(weak, epsilon_grid=epsilon_grid)

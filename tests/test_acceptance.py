@@ -8,27 +8,25 @@ import math
 
 import numpy as np
 
-from wvsim import (
+from gridoracle import grid_overlap
+from wvsim.cli import main
+from wvsim.measurement import (
     CouplingConfig,
-    Observable,
-    amplification_sweep,
-    bures_pure,
     effective_shift_check,
-    expectation,
-    fit_power_law,
-    gaussian,
-    grid_overlap,
-    make_state,
     no_postselect_mixture,
-    overlap,
     post_select,
+    weak_value,
+)
+from wvsim.pointer import bures_pure, gaussian, overlap
+from wvsim.qstate import Observable, expectation, make_state
+from wvsim.scenarios import (
+    amplification_sweep,
+    expectation_scenario,
+    fit_power_law,
     run_comparison,
     spin_amplification_scenario,
-    weak_value,
     weak_value_one_scenario,
 )
-from wvsim.cli import main
-from wvsim.scenarios import expectation_scenario
 
 CFG = CouplingConfig(g=1.0, epsilon=1e-3, delta=1.0)
 

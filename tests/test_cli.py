@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from wvsim.cli import main, parse_amplitude, parse_grid_spec, parse_state_spec
+from wvsim.errors import InvalidData
 
 COMPARE_HEADER = "epsilon,d_eigen,d_weak_vs_eigen,d_expect_vs_eigen,p_postselect,weakness"
 AMPLIFY_HEADER = "tan_half_alpha,mean_shift_over_g_eps,p_postselect,weak_flag"
@@ -32,9 +33,12 @@ class TestStateGrammar:
         assert state.amplitude(0) / state.amplitude(-1) == pytest.approx(-2.0)
 
     def test_bad_specs(self):
-        from wvsim.cli import UsageError
-        for bad in ("1", "a:1", "0:zz", "0:1,0:1", "0:0"):
-            with pytest.raises(UsageError):
+        for bad, message in (("1", "missing ':' in state term '1'"),
+                             ("a:1", "bad basis label 'a'"),
+                             ("0:zz", r"bad amplitude 'zz'; use a, a\+bi or a-bi"),
+                             ("0:1,0:1", "label 0 given more than once"),
+                             ("0:0", "all amplitudes are zero")):
+            with pytest.raises(InvalidData, match=message):
                 parse_state_spec(bad)
 
     def test_grid_spec(self):
@@ -78,10 +82,37 @@ class TestWeakValueCommand:
         assert code == 3
 
     def test_sigmaz_observable(self, capsys):
+        # sigma_z is `diag` on the labels -1, +1; there is no separate alias
         code, out, _ = run(capsys, "weak-value", "--pre=-1:1,1:1",
-                           "--post=-1:1,1:1", "--obs", "sigmaz")
+                           "--post=-1:1,1:1", "--obs", "diag")
         assert code == 0
         assert out == "0.000000000000 + 0.000000000000i\n"
+        code, out, err = run(capsys, "weak-value", "--pre=-1:1,1:1",
+                             "--post=-1:1,1:1", "--obs", "sigmaz")
+        assert (code, out) == (2, "")
+        assert err == "wvsim: error: unknown observable spec 'sigmaz'; use diag or proj:<j>\n"
+
+    @pytest.mark.parametrize("argv, code, err", [
+        ("weak-value --pre=0:1,0:1 --post=0:1,1:1 --obs diag", 2,
+         "wvsim: error: label 0 given more than once\n"),
+        ("weak-value --pre=0:0,1:0 --post=0:1,1:1 --obs diag", 2,
+         "wvsim: error: all amplitudes are zero\n"),
+        ("weak-value --pre=0:1,1:1 --post=0:1,1:1 --obs proj:5", 2,
+         "wvsim: error: projector label 5 not in basis (0, 1)\n"),
+        ("compare --eps-grid 1:1.0000000000000002:5:lin", 2,
+         "wvsim: error: epsilon grid must be strictly increasing\n"),
+        ("weak-value --pre=0:1,1:0 --post=0:0,1:1 --obs diag", 3,
+         "wvsim: |<post|pre>| = 0.000e+00 at or below floor 1.000e-12\n"),
+    ])
+    def test_error_line_and_exit_code(self, capsys, argv, code, err):
+        assert run(capsys, *argv.split()) == (code, "", err)
+
+    @pytest.mark.parametrize("pre", ["0:1e308,1:1e308", "0:1e-200,1:1e-200",
+                                     "0:5e-324,1:5e-324"])
+    def test_extreme_amplitudes_normalise(self, capsys, pre):
+        code, out, err = run(capsys, "weak-value", f"--pre={pre}", "--post=0:1,1:1",
+                             "--obs", "diag")
+        assert (code, out, err) == (0, "0.500000000000 + 0.000000000000i\n", "")
 
 
 class TestCompareCommand:
@@ -193,6 +224,12 @@ class TestAmplifyCommand:
     def test_missing_alpha_list_exits_2(self, capsys):
         code, _, _ = run(capsys, "amplify")
         assert code == 2
+
+    def test_tan_whose_angle_rounds_to_pi_exits_2(self, capsys):
+        code, out, err = run(capsys, "amplify", "--alpha-tan", "1,1e300", "--eps", "1e-3")
+        assert (code, out) == (2, "")
+        assert err == ("wvsim: error: alpha-tan value 1e+300 is too large: "
+                       "alpha = 2*atan(t) rounds to pi\n")
 
     def test_probability_column(self, capsys):
         _, out, _ = run(capsys, "amplify", "--alpha-tan", "100")

@@ -5,26 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from wvsim import (
-    BasisMismatch,
+from wvsim.errors import InvalidData, OrthogonalSelection
+from wvsim.measurement import (
     CouplingConfig,
-    Observable,
-    OrthogonalSelection,
-    PostSelectionImpossible,
-    bures_mixed,
-    bures_pure,
     effective_shift_check,
-    expectation,
-    gaussian,
-    inner,
-    make_state,
-    mean_position,
     no_postselect_mixture,
     post_select,
-    superpose,
     weak_value,
     weakness_metric,
 )
+from wvsim.pointer import bures_mixed, bures_pure, gaussian, mean_position, superpose
+from wvsim.qstate import Observable, expectation, inner, make_state
 
 A3 = Observable.diagonal((-1, 0, 1))
 PRE3 = make_state([(-1, 1), (0, 1), (1, 0)])
@@ -54,7 +45,8 @@ class TestWeakValue:
     def test_orthogonal_selection_rejected(self):
         a = make_state([(0, 1), (1, 0)])
         b = make_state([(0, 0), (1, 1)])
-        with pytest.raises(OrthogonalSelection):
+        with pytest.raises(OrthogonalSelection,
+                           match=r"\|<post\|pre>\| = 0.000e\+00 at or below floor 1.000e-12"):
             weak_value(a, b, Observable.diagonal((0, 1)))
 
     def test_overlap_floor_is_configurable(self):
@@ -62,8 +54,9 @@ class TestWeakValue:
         post = make_state([(0, 0), (1, 1)])
         a = Observable.diagonal((0, 1))
         assert weak_value(pre, post, a) == pytest.approx(1.0)
-        with pytest.raises(OrthogonalSelection):
-            weak_value(pre, post, a, floor=1e-6)
+        below = make_state([(0, 1), (1, 1e-13)])
+        with pytest.raises(OrthogonalSelection, match="at or below floor 1.000e-12"):
+            weak_value(below, post, a)
 
     def test_degenerates_to_expectation_for_post_equals_pre(self):
         rng = np.random.default_rng(11)
@@ -143,7 +136,8 @@ class TestPostSelect:
         ident = Observable.diagonal((0, 1), [1.0, 1.0])
         pre = make_state([(0, 1), (1, 1)])
         post = make_state([(0, 1), (1, -1)])
-        with pytest.raises(PostSelectionImpossible):
+        with pytest.raises(OrthogonalSelection,
+                           match="post-selection amplitude vanishes for every pointer component"):
             post_select(pre, post, ident, cfg())
 
     def test_orthogonal_selection_with_distinct_shifts_still_possible(self):
@@ -169,7 +163,7 @@ class TestPostSelect:
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_basis_mismatch(self):
-        with pytest.raises(BasisMismatch):
+        with pytest.raises(InvalidData, match=r"bases differ: \(0, 1, 2\) vs \(-1, 0, 1\)"):
             post_select(PRE3, make_state([(0, 1), (1, 1), (2, 1)]), A3, cfg())
 
 
@@ -221,7 +215,7 @@ class TestWeaknessMetric:
     def test_orthogonal_selection_rejected(self):
         a = make_state([(0, 1), (1, 0)])
         b = make_state([(0, 0), (1, 1)])
-        with pytest.raises(OrthogonalSelection):
+        with pytest.raises(OrthogonalSelection, match="pre- and post-selection are orthogonal"):
             weakness_metric(a, b, Observable.diagonal((0, 1)), cfg())
 
     def test_probability_drift_complements_the_metric(self):
@@ -288,5 +282,13 @@ class TestScalingLaw:
 class TestCouplingConfig:
     def test_rejects_nonpositive_parameters(self):
         for bad in ((0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)):
-            with pytest.raises(ValueError):
+            with pytest.raises(InvalidData, match="must be positive and finite"):
                 CouplingConfig(*bad)
+
+    @pytest.mark.parametrize("bad", [
+        (math.nan, 1e-3, 1.0), (1.0, math.nan, 1.0), (1.0, 1e-3, math.nan),
+        (math.inf, 1e-3, 1.0), (1.0, math.inf, 1.0), (1.0, 1e-3, math.inf),
+    ])
+    def test_rejects_non_finite_parameters(self, bad):
+        with pytest.raises(InvalidData, match="g, epsilon and delta must be positive and finite"):
+            CouplingConfig(*bad)

@@ -10,21 +10,16 @@ import math
 import numpy as np
 import pytest
 
-from wvsim import (
-    InvalidWidth,
+from gridoracle import grid_inner, grid_overlap, to_grid
+from wvsim.errors import InvalidData
+from wvsim.pointer import (
     PointerMixture,
-    RangeTooNarrow,
-    WidthMismatch,
-    ZeroVector,
     bures_mixed,
     bures_pure,
     gaussian,
-    grid_inner,
-    grid_overlap,
     mean_position,
     overlap,
     superpose,
-    to_grid,
 )
 
 EXP_MINUS_HALF = 0.6065306597126334       # exp(-0.5) = exp(-(2-0)^2/8)
@@ -51,9 +46,9 @@ class TestGaussian:
             EXP_MINUS_HALF, rel=1e-14)
 
     def test_nonpositive_width_rejected(self):
-        with pytest.raises(InvalidWidth):
+        with pytest.raises(InvalidData, match="width must be positive, got 0.0"):
             gaussian(0.0, 0.0)
-        with pytest.raises(InvalidWidth):
+        with pytest.raises(InvalidData, match="width must be positive, got -1.0"):
             gaussian(0.0, -1.0)
 
 
@@ -71,7 +66,7 @@ class TestOverlap:
         assert abs(overlap(gaussian(0.0, 1.0), gaussian(100.0, 1.0))) < 1e-300
 
     def test_width_mismatch(self):
-        with pytest.raises(WidthMismatch):
+        with pytest.raises(InvalidData, match="widths differ: 1.0 vs 2.0"):
             overlap(gaussian(0.0, 1.0), gaussian(0.0, 2.0))
 
 
@@ -90,11 +85,11 @@ class TestSuperpose:
 
     def test_exact_cancellation_raises(self):
         phi = gaussian(0.5, 1.0)
-        with pytest.raises(ZeroVector):
+        with pytest.raises(InvalidData, match="superposition cancelled to the zero function"):
             superpose([(1.0, phi), (-1.0, phi)])
 
     def test_mixed_widths_rejected(self):
-        with pytest.raises(WidthMismatch):
+        with pytest.raises(InvalidData, match="widths differ: 2.0 vs 1.0"):
             superpose([(1.0, gaussian(0.0, 1.0)), (1.0, gaussian(0.0, 2.0))])
 
     def test_normalization_idempotent(self):
@@ -153,7 +148,7 @@ class TestBuresMixed:
         assert bures_mixed(gaussian(0.0, 1.0), mix) == pytest.approx(math.pi / 2, abs=1e-6)
 
     def test_weight_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidData, match="mixture weights sum to 0.5, expected 1"):
             PointerMixture(((0.5, gaussian(0.0, 1.0)),))
 
 
@@ -193,11 +188,11 @@ class TestGridOracle:
 
     def test_range_guard(self):
         wide = superpose([(1.0, gaussian(-5.0, 1.0)), (1.0, gaussian(5.0, 1.0))])
-        with pytest.raises(RangeTooNarrow):
+        with pytest.raises(InvalidData, match="does not cover shifts padded to"):
             to_grid(wide, -6.0, 6.0, 4096)
 
     def test_minimum_sample_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidData, match="need at least 16 samples, got 8"):
             to_grid(gaussian(0.0, 1.0), n=8)
 
     def test_complex_coefficients_round_trip(self):

@@ -5,17 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from wvsim import (
-    BasisMismatch,
-    DuplicateLabel,
-    NotHermitian,
-    Observable,
-    ZeroVector,
-    apply,
-    expectation,
-    inner,
-    make_state,
-)
+from wvsim.errors import InvalidData
+from wvsim.qstate import Observable, apply, expectation, inner, make_state
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT10 = 0.31622776601683794  # 1/sqrt(10)
@@ -42,12 +33,24 @@ class TestMakeState:
         assert abs(state.amplitude(-2)) > abs(state.amplitude(3))
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
+        with pytest.raises(InvalidData, match="all amplitudes are zero"):
             make_state([(0, 0), (1, 0)])
 
     def test_duplicate_label_rejected(self):
-        with pytest.raises(DuplicateLabel):
+        with pytest.raises(InvalidData, match="label 0 given more than once"):
             make_state([(0, 1), (0, 1)])
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e-300, 1e-200, 1e-158, 1e154, 1e300])
+    def test_extreme_magnitudes_normalise_without_overflow_or_underflow(self, scale):
+        # a plain norm overflows above ~1e154 and underflows below ~1e-154
+        state = make_state([(0, 3 * scale), (1, 4j * scale)])
+        np.testing.assert_allclose(state.vector, [0.6, 0.8j], rtol=1e-15)
+
+    def test_near_overflow_amplitudes_stay_unit_norm(self):
+        state = make_state([(0, 1e308), (1, -1e308 + 1e308j)])
+        assert np.linalg.norm(state.vector) == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(state.vector, np.array([1, -1 + 1j]) / math.sqrt(3),
+                                   rtol=1e-15)
 
 
 class TestInner:
@@ -66,7 +69,7 @@ class TestInner:
         assert inner(a, b) == 0
 
     def test_basis_mismatch(self):
-        with pytest.raises(BasisMismatch):
+        with pytest.raises(InvalidData, match=r"bases differ: \(0,\) vs \(1,\)"):
             inner(make_state([(0, 1)]), make_state([(1, 1)]))
 
 
@@ -89,7 +92,7 @@ class TestApply:
         np.testing.assert_allclose(apply(sigma_z, up_x), down_x.vector, atol=1e-15)
 
     def test_basis_mismatch(self):
-        with pytest.raises(BasisMismatch):
+        with pytest.raises(InvalidData, match=r"bases differ: \(0, 1\) vs \(0, 2\)"):
             apply(Observable.diagonal((0, 1)), make_state([(0, 1), (2, 1)]))
 
 
@@ -111,7 +114,7 @@ class TestExpectation:
 
 class TestObservable:
     def test_non_hermitian_rejected(self):
-        with pytest.raises(NotHermitian):
+        with pytest.raises(InvalidData, match="matrix is not equal to its conjugate transpose"):
             Observable((0, 1), np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_diagonal_constructor_has_exact_zero_offdiagonals(self):
@@ -120,7 +123,7 @@ class TestObservable:
         assert np.all(off == 0)
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(DuplicateLabel):
+        with pytest.raises(InvalidData, match=r"observable labels \(0, 0\) are not distinct"):
             Observable.diagonal((0, 0))
 
     def test_matrix_is_immutable(self):
@@ -171,6 +174,18 @@ class TestAlgebraicProperties:
             for _ in range(20):
                 val = expectation(_random_hermitian(rng, labels), _random_state(rng, labels))
                 assert isinstance(val, float)
+
+    def test_expectation_of_large_observables_is_real(self):
+        # rounding in the imaginary part grows with the entries of A; an
+        # absolute bound would call these valid Hermitian matrices complex
+        rng = np.random.default_rng(14)
+        labels = tuple(range(8))
+        for _ in range(200):
+            obs = _random_hermitian(rng, labels)
+            big = Observable(labels, 1e6 * obs.matrix)
+            state = _random_state(rng, labels)
+            assert expectation(big, state) == pytest.approx(1e6 * expectation(obs, state),
+                                                            rel=1e-9, abs=1e-3)
 
     def test_inner_conjugate_symmetry(self):
         rng = np.random.default_rng(8)

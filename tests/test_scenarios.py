@@ -6,21 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wvsim import (
-    CouplingConfig,
-    InvalidAngle,
-    InvalidData,
+from wvsim.errors import InvalidData
+from wvsim.measurement import CouplingConfig, weak_value
+from wvsim.qstate import expectation, inner
+from wvsim.scenarios import (
+    DEFAULT_EPSILON_GRID,
     amplification_sweep,
-    expectation,
     expectation_scenario,
     fit_power_law,
-    inner,
     run_comparison,
     spin_amplification_scenario,
-    weak_value,
     weak_value_one_scenario,
 )
-from wvsim.scenarios import DEFAULT_EPSILON_GRID
 
 CFG = CouplingConfig(g=1.0, epsilon=0.01, delta=1.0)
 
@@ -52,7 +49,7 @@ class TestSpinAmplificationScenario:
 
     def test_angle_out_of_range(self):
         for alpha in (0.0, -1.0, math.pi, 4.0):
-            with pytest.raises(InvalidAngle):
+            with pytest.raises(InvalidData, match=r"alpha must lie in \(0, pi\)"):
                 spin_amplification_scenario(alpha, CFG)
 
 
@@ -113,19 +110,19 @@ class TestRunComparison:
             assert 0.0 <= row.postselect_probability <= 1.0
 
     def test_requires_one_scenario_of_each_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidData, match="need exactly one post-selected and one"):
             run_comparison([weak_value_one_scenario(CFG)])
 
     def test_requires_shared_coupling(self):
         other = CouplingConfig(g=2.0, epsilon=0.01, delta=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidData, match="scenarios must share g and delta"):
             run_comparison([weak_value_one_scenario(CFG), expectation_scenario(other)])
 
     def test_explicit_grid_is_validated_like_the_spec_grid(self):
         specs = [weak_value_one_scenario(CFG), expectation_scenario(CFG)]
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(InvalidData, match="strictly increasing"):
             run_comparison(specs, [0.01, 0.01])
-        with pytest.raises(ValueError, match="strictly positive"):
+        with pytest.raises(InvalidData, match="strictly positive"):
             run_comparison(specs, [0.0, 0.01])
 
 
@@ -139,12 +136,12 @@ class TestScenarioSpec:
 
     def test_zero_epsilon_excluded(self):
         spec = weak_value_one_scenario(CFG)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidData, match="epsilon grid values must be strictly positive"):
             replace(spec, epsilon_grid=(0.0, 0.01))
 
     def test_grid_must_increase(self):
         spec = weak_value_one_scenario(CFG)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidData, match="epsilon grid must be strictly increasing"):
             replace(spec, epsilon_grid=(0.01, 0.01))
 
 
@@ -172,11 +169,11 @@ class TestFitPowerLaw:
         assert mix_fit.coefficient == pytest.approx(0.5, rel=0.02)
 
     def test_nonpositive_distance_rejected(self):
-        with pytest.raises(InvalidData):
+        with pytest.raises(InvalidData, match="needs strictly positive abscissae and distances"):
             fit_power_law([(1e-3, 1.0), (2e-3, 0.0), (4e-3, 1.0), (8e-3, 1.0)])
 
     def test_too_few_points_rejected(self):
-        with pytest.raises(InvalidData):
+        with pytest.raises(InvalidData, match="need at least 4 points for a fit, got 2"):
             fit_power_law([(1e-3, 1e-3), (1e-2, 1e-2)])
 
 
