@@ -14,6 +14,7 @@ import cmath
 import json
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -194,10 +195,7 @@ def cmd_compare(args: argparse.Namespace, config: dict) -> int:
     rows = scenarios.run_comparison(
         [scenarios.weak_value_one_scenario(cfg), scenarios.expectation_scenario(cfg)],
         grid)
-    cells = [tuple(fmt(v) for v in (r.epsilon, r.d_eigen, r.d_weak_vs_eigen,
-                                    r.d_expect_vs_eigen, r.postselect_probability,
-                                    r.weakness))
-             for r in rows]
+    cells = [tuple(map(fmt, astuple(r))) for r in rows]  # fields in COMPARE_COLUMNS order
     trailers = []
     if len(rows) >= 4:
         for name in ("d_eigen", "d_weak_vs_eigen", "d_expect_vs_eigen"):
@@ -217,11 +215,8 @@ def cmd_amplify(args: argparse.Namespace, config: dict) -> int:
     tan_spec = pick(args.alpha_tan, config, "alpha-tan")
     if tan_spec is None or not str(tan_spec).strip():
         raise InvalidData("amplify needs --alpha-tan with comma-separated tan(alpha/2) values")
-    tans = []
-    for part in str(tan_spec).split(","):
-        if not part.strip():
-            continue
-        tans.append(positive(part, "alpha-tan value"))
+    tans = [positive(part, "alpha-tan value") for part in str(tan_spec).split(",")
+            if part.strip()]
     if not tans:
         raise InvalidData("amplify needs at least one tan(alpha/2) value")
     alphas = [2.0 * math.atan(t) for t in tans]

@@ -1,10 +1,11 @@
 """Von Neumann measurement protocol with impulsive coupling H = g A P.
 
 Free Hamiltonians are switched off during the interaction window [0, eps], so
-the joint unitary is exactly exp(-i g eps A x P) and each eigenvalue branch
-a_j rigidly translates the pointer by g * eps * a_j while leaving the system
-amplitudes untouched. Post-selection then conditions the pointer on a final
-system state, which is where weak values enter.
+the joint unitary is exactly exp(-i g eps A x P): each eigenvalue branch a_j
+kicks the pointer rigidly by g * eps * a_j and keeps its system amplitude. A
+selection thus leaves the pointer sum_j w_j G_{g eps a_j} of `wvsim.pointer`,
+with weights conj(<a_j|post>) <a_j|pre> after post-selection (where weak
+values enter), or the Born weights |<a_j|pre>|^2 of a mixture without it.
 """
 
 from __future__ import annotations
@@ -15,16 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import pointer
 from .errors import InvalidData, OrthogonalSelection
-from .pointer import (
-    PointerMixture,
-    PointerState,
-    bures_pure,
-    gaussian,
-    merge_terms,
-    normalize_terms,
-)
-from .qstate import Observable, SystemState, apply, inner
+from .qstate import Observable, SystemState, apply, check_basis, inner
 
 DEFAULT_OVERLAP_FLOOR = 1e-12
 
@@ -45,18 +39,9 @@ class CouplingConfig:
                 f"({self.g}, {self.epsilon}, {self.delta})")
 
 
-@dataclass(frozen=True)
-class PostSelectionResult:
-    """Conditioned pointer state and the probability of the post-selection."""
-
-    pointer: PointerState
-    probability: float
-
-
 class ShiftCheck(NamedTuple):
-    actual: PointerState
-    ideal: PointerState
-    distance: float
+    ideal: float      # centre g*eps*Re(A_w) of the rigidly shifted Gaussian
+    distance: float   # Bures angle from the conditioned pointer to it
 
 
 def weak_value(pre: SystemState, post: SystemState, a: Observable) -> complex:
@@ -69,66 +54,42 @@ def weak_value(pre: SystemState, post: SystemState, a: Observable) -> complex:
     return numer / denom
 
 
-def _branches(a: Observable, cfg: CouplingConfig, *states: SystemState):
-    """Kicks g * eps * a_j of the initial pointer (width delta, centred at 0)
-    and each state's amplitudes in the eigenbasis of `a`."""
+def branch_weights(pre: SystemState, post: SystemState | None,
+                   a: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues a_j of `a` and the pointer weight of each branch:
+    conj(<a_j|post>) <a_j|pre> after post-selecting `post`, or the Born
+    weights |<a_j|pre>|^2 when `post` is None. The kicks are g * eps * a_j."""
     vals, vecs = a.eigenbasis
-    amps = []
-    for state in states:
-        if state.labels != a.labels:
-            raise InvalidData(f"bases differ: {state.labels} vs {a.labels}")
-        amps.append(state.vector if vecs is None else vecs.conj().T @ state.vector)
-    return cfg.g * cfg.epsilon * vals, *amps
+
+    def amplitudes(state: SystemState) -> np.ndarray:
+        check_basis(state.labels, a.labels)
+        return state.vector if vecs is None else vecs.conj().T @ state.vector
+
+    c = amplitudes(pre)
+    if post is None:
+        return vals, c.real ** 2 + c.imag ** 2
+    return vals, np.conj(amplitudes(post)) * c
 
 
-def post_select(pre: SystemState, post: SystemState, a: Observable,
-                cfg: CouplingConfig) -> PostSelectionResult:
-    """Couple `pre` to the pointer, project the system on `post` and
-    renormalize the conditioned pointer.
-
-    The probability is the squared norm of the unnormalized conditional
-    pointer, evaluated with the exact Gaussian Gram matrix (not the weak
-    limit |<post|pre>|^2, which it approaches as eps -> 0).
+def weakness(kicks, weights, delta):
+    """Relative change |<G_0|psi> - sum_j w_j| / |sum_j w_j| of the selection
+    amplitude sum_j w_j = <post|pre> when the pointer psi = sum_j w_j G_{u_j}
+    is projected back on G_0; broadcasts like `pointer`. Zero means the
+    coupling left the two-state selection untouched, order one destroyed it.
     """
-    kicks, c, d = _branches(a, cfg, pre, post)
-    weights = np.conj(d) * c
-    try:
-        pointer, norm_sq = normalize_terms(cfg.delta, zip(kicks, map(complex, weights)))
-    except InvalidData:
-        raise OrthogonalSelection(
-            "post-selection amplitude vanishes for every pointer component") from None
-    return PostSelectionResult(pointer=pointer, probability=min(norm_sq, 1.0))
-
-
-def no_postselect_mixture(pre: SystemState, a: Observable,
-                          cfg: CouplingConfig) -> PointerMixture:
-    """Reduced pointer state when nothing is post-selected.
-
-    Distinct shifts carry mutually orthogonal system branches, so tracing out
-    the system yields a classical mixture with one Gaussian per distinct
-    shift, weighted by the Born weight of that shift.
-    """
-    kicks, c = _branches(a, cfg, pre)
-    # Python's complex abs, not np.abs: the two differ in the last bit.
-    born = merge_terms(zip(kicks, [abs(amp) ** 2 for amp in map(complex, c)]))
-    return PointerMixture(tuple((w, gaussian(mu, cfg.delta)) for mu, w in born))
+    base = np.abs(np.sum(weights, axis=-1))
+    if np.any(base <= DEFAULT_OVERLAP_FLOOR):
+        raise OrthogonalSelection("pre- and post-selection are orthogonal")
+    x = np.asarray(kicks, dtype=float) / delta
+    return np.abs(np.sum(weights * np.expm1(-(x * x) / 8.0), axis=-1)) / base
 
 
 def weakness_metric(pre: SystemState, post: SystemState, a: Observable,
                     cfg: CouplingConfig) -> float:
-    """Relative change of the selection scalar product <post|pre> induced by
-    the full coupling unitary (pointer returned to its initial Gaussian).
-
-    Zero means the interaction left the two-state selection untouched; values
-    of order one mean the coupling destroyed it.
-    """
-    base = inner(post, pre)
-    if abs(base) <= DEFAULT_OVERLAP_FLOOR:
-        raise OrthogonalSelection("pre- and post-selection are orthogonal")
-    kicks, c, d = _branches(a, cfg, pre, post)
-    damping = np.exp(-(kicks ** 2) / (8.0 * cfg.delta ** 2))
-    perturbed = complex(np.vdot(d, damping * c))
-    return abs(perturbed - base) / abs(base)
+    """`weakness` of the pointer that coupling `a` with `cfg` leaves after
+    pre-selecting `pre` and post-selecting `post`."""
+    vals, w = branch_weights(pre, post, a)
+    return float(weakness(cfg.g * cfg.epsilon * vals, w, cfg.delta))
 
 
 def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
@@ -139,7 +100,7 @@ def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
     has moved O(eps) away from where it started, so the observable acts on the
     probe like the single number Re(A_w).
     """
-    aw = weak_value(pre, post, a)
-    actual = post_select(pre, post, a, cfg).pointer
-    ideal = gaussian(cfg.g * cfg.epsilon * aw.real, cfg.delta)
-    return ShiftCheck(actual, ideal, bures_pure(actual, ideal))
+    aw = weak_value(pre, post, a).real
+    vals, w = branch_weights(pre, post, a)
+    kick = cfg.g * cfg.epsilon
+    return ShiftCheck(kick * aw, float(pointer.angle(kick * (vals - aw), w, cfg.delta)))

@@ -1,157 +1,75 @@
-"""Pointer wavefunctions as superpositions of equal-width shifted Gaussians.
+"""The pointer kernel: closed forms for a pointer sum_j w_j G_{u_j}.
 
-A term c * G_mu denotes c * (2 pi D^2)^(-1/4) exp(-(Q - mu)^2 / (4 D^2)) with
-a single width D shared by every term. This family is closed under the
-impulsive measurement coupling (momentum generates exact position shifts), and
-every inner product has the closed form
+G_u = (2 pi D^2)^(-1/4) exp(-(Q - u)^2 / (4 D^2)) is the unit-norm Gaussian of
+width D centred at u, and <G_a|G_b> = exp(-(a - b)^2 / (8 D^2)), so norms,
+moments and Bures angles carry no discretization error. A pointer is a pair
+of arrays: the kicks u_j and the weights w_j (amplitudes of a pure pointer, or
+probabilities of a mixture). Every function takes the terms along the last
+axis and broadcasts over the leading ones, one row per epsilon or selection.
 
-    <G_a|G_b> = exp(-(a - b)^2 / (8 D^2)),
-
-so overlaps, moments and Bures angles carry no discretization error.
+Each quantity is written without cancellation in the weak regime (kicks small
+against D): departures from zero-kick values go through expm1, and each angle
+is atan2 of a separately computed sine and cosine, never arccos of a fidelity
+that rounds to 1.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 import numpy as np
 
-from .errors import InvalidData
 
-SHIFT_MERGE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PointerState:
-    """Superposition sum_k c_k G_{mu_k} of unit-norm Gaussians of one width."""
-
-    width: float
-    shifts: tuple[float, ...]
-    coeffs: tuple[complex, ...]
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise InvalidData(f"width must be positive, got {self.width}")
-        if len(self.shifts) != len(self.coeffs) or not self.shifts:
-            raise InvalidData("shifts and coefficients must be non-empty and parallel")
-
-    @property
-    def terms(self) -> tuple[tuple[float, complex], ...]:
-        return tuple(zip(self.shifts, self.coeffs))
+def _form(a, m, b):
+    """Re sum_jk conj(a_j) m_jk b_k over the last axes."""
+    return np.einsum("...j,...jk,...k->...", np.conj(a), m, b).real
 
 
-@dataclass(frozen=True)
-class PointerMixture:
-    """Classical mixture sum_i p_i |state_i><state_i| of pointer states."""
-
-    components: tuple[tuple[float, PointerState], ...]
-
-    def __post_init__(self):
-        comps = tuple((float(p), state) for p, state in self.components)
-        if not comps:
-            raise InvalidData("mixture needs at least one component")
-        total = sum(p for p, _ in comps)
-        if abs(total - 1.0) > 1e-12:
-            raise InvalidData(f"mixture weights sum to {total}, expected 1")
-        for p, state in comps:
-            if not 0.0 < p <= 1.0:
-                raise InvalidData(f"mixture weight {p} outside (0, 1]")
-        object.__setattr__(self, "components", comps)
+def _gram_exponent(x):
+    """(x_j - x_k)^2 / 8 for x = u / D, so that S_jk = <G_{u_j}|G_{u_k}> is
+    exp(-that) and S - 1 is expm1(-that)."""
+    d = x[..., :, None] - x[..., None, :]
+    return d * d / 8.0
 
 
-def _gram(shifts_a: Sequence[float], shifts_b: Sequence[float], width: float) -> np.ndarray:
-    """Overlap matrix S_jk = <G_{a_j}|G_{b_k}> = exp(-(a_j - b_k)^2 / (8 D^2))."""
-    d = np.subtract.outer(np.asarray(shifts_a, float), np.asarray(shifts_b, float))
-    return np.exp(-(d * d) / (8.0 * width * width))
+def norm_sq(kicks, weights, delta):
+    """||sum_j w_j G_{u_j}||^2 = |sum_j w_j|^2 + w^H (S - 1) w."""
+    x = np.asarray(kicks, dtype=float) / delta
+    s_minus_1 = np.expm1(-_gram_exponent(x))
+    return np.abs(np.sum(weights, axis=-1)) ** 2 + _form(weights, s_minus_1, weights)
 
 
-def merge_terms(terms: Iterable[tuple[float, complex]]) -> list[tuple[float, complex]]:
-    """Coalesce (shift, amplitude or weight) terms whose shifts agree within
-    SHIFT_MERGE_TOL, drop zeros."""
-    out: list[list] = []
-    for mu, c in sorted(terms, key=lambda t: t[0]):
-        if out and abs(mu - out[-1][0]) <= SHIFT_MERGE_TOL:
-            out[-1][1] += c
-        else:
-            out.append([float(mu), c])
-    return [(mu, c) for mu, c in out if c != 0.0]
+def angle(kicks, weights, delta):
+    """Bures angle in [0, pi/2] between the pure pointer sum_j w_j G_{u_j}
+    and G_0; the weights need not be normalized.
 
-
-def normalize_terms(width: float, terms: Iterable[tuple[float, complex]]) -> tuple[PointerState, float]:
-    """Merge raw (shift, coefficient) terms and rescale to unit norm.
-
-    Returns the normalized state together with the squared norm of the raw
-    superposition (when the terms come from a conditioned measurement branch,
-    that squared norm is the post-selection probability).
+    With e_j = <G_0|G_{u_j}> = exp(-u_j^2 / 8D^2), the cosine is
+    |sum_j w_j e_j| and the sine sqrt(w^H C w), both over the norm, where
+    C_jk = S_jk - e_j e_k = e_j e_k expm1(t_jk), t_jk = u_j u_k / 4D^2. An
+    entry with t_jk >= 0 is evaluated as -S_jk expm1(-t_jk), so that no
+    factor overflows for kicks far outside the pointer.
     """
-    merged = merge_terms(terms)
-    if not merged:
-        raise InvalidData("superposition cancelled to the zero function")
-    shifts = tuple(mu for mu, _ in merged)
-    coeffs = np.array([c for _, c in merged], dtype=complex)
-    gram = _gram(shifts, shifts, width)
-    norm_sq = float(np.vdot(coeffs, gram @ coeffs).real)
-    if norm_sq <= 1e-24:
-        raise InvalidData("superposition cancelled to the zero function")
-    coeffs = coeffs / math.sqrt(norm_sq)
-    return PointerState(float(width), shifts, tuple(map(complex, coeffs))), norm_sq
+    x = np.asarray(kicks, dtype=float) / delta
+    e = np.exp(-(x * x) / 8.0)
+    t = x[..., :, None] * x[..., None, :] / 4.0
+    scale = np.where(t >= 0.0, -np.exp(-_gram_exponent(x)), e[..., :, None] * e[..., None, :])
+    sin_sq = _form(weights, scale * np.expm1(-np.abs(t)), weights)
+    return np.arctan2(np.sqrt(np.maximum(sin_sq, 0.0)), np.abs(np.sum(weights * e, axis=-1)))
 
 
-def gaussian(center: float, width: float) -> PointerState:
-    """Unit-norm Gaussian of the given width centered at `center`."""
-    if width <= 0:
-        raise InvalidData(f"width must be positive, got {width}")
-    return PointerState(float(width), (float(center),), (1.0 + 0.0j,))
+def mixture_angle(kicks, weights, delta):
+    """Bures angle in [0, pi/2] between the mixture
+    sum_j p_j |G_{u_j}><G_{u_j}| (weights p_j >= 0, not necessarily summing
+    to 1) and G_0: its squared cosine is sum_j p_j exp(-u_j^2 / 4D^2) / sum_j p_j."""
+    x = np.asarray(kicks, dtype=float) / delta
+    a = -(x * x) / 4.0
+    return np.arctan2(np.sqrt(np.sum(weights * -np.expm1(a), axis=-1)),
+                      np.sqrt(np.sum(weights * np.exp(a), axis=-1)))
 
 
-def superpose(terms: Iterable[tuple[complex, PointerState]]) -> PointerState:
-    """Normalized complex combination of pointer states sharing one width."""
-    terms = list(terms)
-    if not terms:
-        raise InvalidData("empty superposition")
-    width = terms[0][1].width
-    raw: list[tuple[float, complex]] = []
-    for coeff, state in terms:
-        if state.width != width:
-            raise InvalidData(f"widths differ: {state.width} vs {width}")
-        for mu, c in state.terms:
-            raw.append((mu, complex(coeff) * c))
-    state, _ = normalize_terms(width, raw)
-    return state
-
-
-def overlap(a: PointerState, b: PointerState) -> complex:
-    """<a|b> from the closed-form Gaussian overlap matrix."""
-    if a.width != b.width:
-        raise InvalidData(f"widths differ: {a.width} vs {b.width}")
-    ca = np.asarray(a.coeffs, dtype=complex)
-    cb = np.asarray(b.coeffs, dtype=complex)
-    return complex(np.vdot(ca, _gram(a.shifts, b.shifts, a.width) @ cb))
-
-
-def bures_pure(a: PointerState, b: PointerState) -> float:
-    """Bures angle arccos|<a|b>| between pure pointer states, in [0, pi/2].
-
-    The fidelity is clamped to [0, 1] before arccos; it can exceed 1 by a few
-    ulp and arccos is steep there.
-    """
-    return math.acos(min(abs(overlap(a, b)), 1.0))
-
-
-def bures_mixed(pure: PointerState, mix: PointerMixture) -> float:
-    """Bures angle arccos sqrt(<pure|rho|pure>) between a pure state and a
-    mixture rho = sum_i p_i |chi_i><chi_i|."""
-    fid_sq = 0.0
-    for p, comp in mix.components:
-        fid_sq += p * abs(overlap(pure, comp)) ** 2
-    return math.acos(min(math.sqrt(fid_sq), 1.0))
-
-
-def mean_position(s: PointerState) -> float:
-    """<Q>, using <G_a|Q|G_b> = ((a + b)/2) <G_a|G_b> for equal widths."""
-    c = np.asarray(s.coeffs, dtype=complex)
-    mus = np.asarray(s.shifts, float)
-    centers = 0.5 * np.add.outer(mus, mus)
-    return complex(np.vdot(c, (centers * _gram(mus, mus, s.width)) @ c)).real
+def mean_position(kicks, weights, delta):
+    """<Q> of the normalized pointer, from <G_a|Q|G_b> = ((a + b)/2) <G_a|G_b>:
+    Re[conj(sum_j w_j u_j) sum_k w_k + (w u)^H (S - 1) w] / norm_sq."""
+    x = np.asarray(kicks, dtype=float) / delta
+    wx = weights * x
+    num = ((np.conj(np.sum(wx, axis=-1)) * np.sum(weights, axis=-1)).real
+           + _form(wx, np.expm1(-_gram_exponent(x)), weights))
+    return delta * num / norm_sq(kicks, weights, delta)

@@ -7,6 +7,7 @@ simplicity win over sparse machinery.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -52,6 +53,9 @@ class Observable:
         n = len(labels)
         if m.shape != (n, n):
             raise InvalidData(f"matrix shape {m.shape} does not match {n} labels")
+        if not np.isfinite(m).all():
+            i, j = np.argwhere(~np.isfinite(m))[0]
+            raise InvalidData(f"matrix entry ({labels[i]}, {labels[j]}) is not finite: {m[i, j]}")
         if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
             raise InvalidData("matrix is not equal to its conjugate transpose")
         m.flags.writeable = False
@@ -90,9 +94,11 @@ def make_state(pairs: Iterable[tuple[int, complex]]) -> SystemState:
     """
     items = [(int(label), complex(amp)) for label, amp in pairs]
     seen: set[int] = set()
-    for label, _ in items:
+    for label, amp in items:
         if label in seen:
             raise InvalidData(f"label {label} given more than once")
+        if not cmath.isfinite(amp):
+            raise InvalidData(f"amplitude of label {label} is not finite: {amp}")
         seen.add(label)
     items.sort(key=lambda t: t[0])
     # Rescale by a power of two (exact) so the largest real or imaginary part
@@ -110,20 +116,20 @@ def make_state(pairs: Iterable[tuple[int, complex]]) -> SystemState:
     return SystemState(tuple(label for label, _ in items), tuple(map(complex, vec)))
 
 
-def _check_basis(a: tuple[int, ...], b: tuple[int, ...]) -> None:
+def check_basis(a: tuple[int, ...], b: tuple[int, ...]) -> None:
     if a != b:
         raise InvalidData(f"bases differ: {a} vs {b}")
 
 
 def inner(bra: SystemState, ket: SystemState) -> complex:
     """<bra|ket> = sum_j conj(bra_j) ket_j."""
-    _check_basis(bra.labels, ket.labels)
+    check_basis(bra.labels, ket.labels)
     return complex(np.vdot(bra.vector, ket.vector))
 
 
 def apply(observable: Observable, state: SystemState) -> np.ndarray:
     """A|psi> as a raw amplitude vector; deliberately not renormalized."""
-    _check_basis(observable.labels, state.labels)
+    check_basis(observable.labels, state.labels)
     return observable.matrix @ state.vector
 
 

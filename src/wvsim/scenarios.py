@@ -13,21 +13,16 @@ while the expectation-value mixture stays O(eps) away.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import pointer
 from .errors import InvalidData
-from .measurement import (
-    CouplingConfig,
-    no_postselect_mixture,
-    post_select,
-    weak_value,
-    weakness_metric,
-)
-from .pointer import bures_mixed, bures_pure, gaussian, mean_position
-from .qstate import Observable, SystemState, expectation, inner, make_state
+from .measurement import CouplingConfig, branch_weights, weak_value, weakness
+from .qstate import Observable, SystemState, expectation, make_state
 
 DEFAULT_EPSILON_GRID = tuple(float(e) for e in np.geomspace(1e-3, 1e-2, 8))
 WEAKNESS_THRESHOLD = 1e-2
@@ -79,8 +74,7 @@ class AmplificationRow:
     weak: bool
 
 
-def spin_amplification_scenario(alpha: float, cfg: CouplingConfig,
-                                epsilon_grid: Sequence[float] | None = None) -> ScenarioSpec:
+def spin_amplification_scenario(alpha: float, cfg: CouplingConfig) -> ScenarioSpec:
     """Spin-1/2 pre-selected almost opposite to the post-selected direction.
 
     Pre-selection cos(alpha/2)|up_x> + sin(alpha/2)|down_x>, post-selection
@@ -95,8 +89,7 @@ def spin_amplification_scenario(alpha: float, cfg: CouplingConfig,
     inv = 1.0 / math.sqrt(2.0)
     pre = make_state([(-1, (c - s) * inv), (1, (c + s) * inv)])
     post = make_state([(-1, inv), (1, inv)])
-    return ScenarioSpec("spin_amplification", pre, Observable.diagonal((-1, 1)), cfg,
-                        post, tuple(epsilon_grid) if epsilon_grid else DEFAULT_EPSILON_GRID)
+    return ScenarioSpec("spin_amplification", pre, Observable.diagonal((-1, 1)), cfg, post)
 
 
 def weak_value_one_scenario(cfg: CouplingConfig,
@@ -146,22 +139,32 @@ def run_comparison(specs: Iterable[ScenarioSpec],
             f"scenarios target different values: weak {a_ref} vs expectation {a_exp}")
     if epsilon_grid is not None:
         weak = replace(weak, epsilon_grid=epsilon_grid)
-    rows = []
-    for eps in weak.epsilon_grid:
-        cfg = replace(weak.cfg, epsilon=eps)
-        phi0 = gaussian(0.0, cfg.delta)
-        phi_e = gaussian(cfg.g * eps * a_ref, cfg.delta)
-        result = post_select(weak.pre, weak.post, weak.observable, cfg)
-        rho = no_postselect_mixture(expect.pre, expect.observable, cfg)
-        rows.append(ComparisonRow(
-            epsilon=eps,
-            d_eigen=bures_pure(phi0, phi_e),
-            d_weak_vs_eigen=bures_pure(phi_e, result.pointer),
-            d_expect_vs_eigen=bures_mixed(phi_e, rho),
-            postselect_probability=result.probability,
-            weakness=weakness_metric(weak.pre, weak.post, weak.observable, cfg),
-        ))
-    return rows
+    vals, w = branch_weights(weak.pre, weak.post, weak.observable)
+    vals_x, born = branch_weights(expect.pre, None, expect.observable)
+    g, delta = weak.cfg.g, weak.cfg.delta
+    with _finite_columns(g, weak.epsilon_grid[-1], delta):
+        kick = g * np.array(weak.epsilon_grid)[:, None]
+        columns = (
+            pointer.angle(kick * a_ref, [1.0], delta),
+            pointer.angle(kick * (vals - a_ref), w, delta),
+            pointer.mixture_angle(kick * (vals_x - a_ref), born, delta),
+            np.minimum(pointer.norm_sq(kick * vals, w, delta), 1.0),
+            weakness(kick * vals, w, delta),
+        )
+    return [ComparisonRow(eps, *row)
+            for eps, row in zip(weak.epsilon_grid, np.transpose(columns).tolist())]
+
+
+@contextmanager
+def _finite_columns(g: float, epsilon: float, delta: float):
+    """Evaluate pointer columns with overflow and invalid operations raising:
+    either means g*epsilon/delta is out of range, and would print NaN rows."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise InvalidData(f"g*epsilon/delta is out of floating-point range for "
+                          f"g={g}, epsilon={epsilon}, delta={delta}") from None
 
 
 def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
@@ -192,18 +195,18 @@ def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> list[Am
     scalar product and the post-selection probability stay within
     WEAKNESS_THRESHOLD of their zero-coupling values.
     """
-    rows = []
-    for alpha in alphas:
-        spec = spin_amplification_scenario(alpha, cfg)
-        result = post_select(spec.pre, spec.post, spec.observable, cfg)
-        metric = weakness_metric(spec.pre, spec.post, spec.observable, cfg)
-        p0 = abs(inner(spec.post, spec.pre)) ** 2
-        drift = abs(result.probability - p0) / p0
-        rows.append(AmplificationRow(
-            tan_half_alpha=math.tan(alpha / 2),
-            mean_shift_over_g_eps=mean_position(result.pointer) / (cfg.g * cfg.epsilon),
-            postselect_probability=result.probability,
-            weakness=metric,
-            weak=metric <= WEAKNESS_THRESHOLD and drift <= WEAKNESS_THRESHOLD,
-        ))
-    return rows
+    alphas = list(alphas)
+    specs = [spin_amplification_scenario(alpha, cfg) for alpha in alphas]
+    if not specs:
+        return []
+    branches = [branch_weights(s.pre, s.post, s.observable) for s in specs]
+    vals, w = branches[0][0], np.array([weights for _, weights in branches])
+    p0 = np.abs(np.sum(w, axis=-1)) ** 2
+    with _finite_columns(cfg.g, cfg.epsilon, cfg.delta):
+        kick = np.float64(cfg.g) * cfg.epsilon
+        metric = weakness(kick * vals, w, cfg.delta)
+        prob = np.minimum(pointer.norm_sq(kick * vals, w, cfg.delta), 1.0)
+        shift = pointer.mean_position(kick * vals, w, cfg.delta) / kick
+    weak = (metric <= WEAKNESS_THRESHOLD) & (np.abs(prob - p0) / p0 <= WEAKNESS_THRESHOLD)
+    return [AmplificationRow(math.tan(alpha / 2), *row) for alpha, row in
+            zip(alphas, zip(shift.tolist(), prob.tolist(), metric.tolist(), weak.tolist()))]

@@ -8,16 +8,10 @@ import math
 
 import numpy as np
 
-from gridoracle import grid_overlap
+from gridoracle import grid_cos_angle, grid_overlap
 from wvsim.cli import main
-from wvsim.measurement import (
-    CouplingConfig,
-    effective_shift_check,
-    no_postselect_mixture,
-    post_select,
-    weak_value,
-)
-from wvsim.pointer import bures_pure, gaussian, overlap
+from wvsim.measurement import CouplingConfig, branch_weights, effective_shift_check, weak_value
+from wvsim.pointer import angle, norm_sq
 from wvsim.qstate import Observable, expectation, make_state
 from wvsim.scenarios import (
     amplification_sweep,
@@ -60,10 +54,10 @@ def test_criterion_2_eigenvalue_distance_law():
 def test_criterion_3_weak_vs_eigen_separation():
     fit = fit_power_law([(r.epsilon, r.d_weak_vs_eigen) for r in sweep_rows()])
     target = 1 / (2 * math.sqrt(2))
-    ok = abs(fit.exponent - 2.0) <= 0.05 and abs(fit.coefficient / target - 1.0) <= 0.05
+    ok = abs(fit.exponent - 2.0) <= 1e-4 and abs(fit.coefficient / target - 1.0) <= 1e-4
     report(3, "weak-vs-eigen separation", ok,
-           f"exponent={fit.exponent:.6f} (2 +- 0.05), coefficient={fit.coefficient:.6f} "
-           f"({target:.6f} +- 5%)")
+           f"exponent={fit.exponent:.7f} (2 +- 1e-4), coefficient={fit.coefficient:.7f} "
+           f"({target:.7f} +- 1e-4 relative)")
 
 
 def test_criterion_4_expectation_vs_eigen_distance():
@@ -78,28 +72,32 @@ def test_criterion_4_expectation_vs_eigen_distance():
 
 def test_criterion_5_postselection_probability():
     spec = weak_value_one_scenario(CFG)
-    cfg = CouplingConfig(g=1.0, epsilon=1e-4, delta=1.0)
-    p = post_select(spec.pre, spec.post, spec.observable, cfg).probability
+    vals, weights = branch_weights(spec.pre, spec.post, spec.observable)
+    p = norm_sq(1e-4 * vals, weights, 1.0)
     report(5, "post-selection probability", abs(p - 0.1) <= 1e-4,
            f"p={p:.10f}, |p-0.1|={abs(p - 0.1):.2e} <= 1e-4")
 
 
 def test_criterion_6_oracle_equivalence():
-    weak = weak_value_one_scenario(CFG)
-    expect = expectation_scenario(CFG)
+    # every sweep row against quadrature of the sampled pointers: the cosine
+    # of each angle to the eigenvalue pointer G_eps, and the probability
+    weak, expect = weak_value_one_scenario(CFG), expectation_scenario(CFG)
+    vals, weights = branch_weights(weak.pre, weak.post, weak.observable)
+    vals_x, born = branch_weights(expect.pre, None, expect.observable)
     worst = 0.0
-    for eps in weak.epsilon_grid:
-        cfg = CouplingConfig(g=1.0, epsilon=eps, delta=1.0)
-        phi0 = gaussian(0.0, 1.0)
-        phi_e = gaussian(cfg.g * eps, 1.0)
-        phi_w = post_select(weak.pre, weak.post, weak.observable, cfg).pointer
-        rho = no_postselect_mixture(expect.pre, expect.observable, cfg)
-        states = [phi0, phi_e, phi_w] + [comp for _, comp in rho.components]
-        for i, a in enumerate(states):
-            for b in states[i:]:
-                closed = overlap(a, b)
-                quad = grid_overlap(a, b, n=4096)
-                worst = max(worst, abs(closed - quad) / abs(closed))
+    for row in sweep_rows():
+        eps = row.epsilon
+        fid_sq = sum(p * grid_cos_angle([eps * (a - 1.0)], [1.0], 1.0) ** 2
+                     for a, p in zip(vals_x, born) if p)
+        quad = {"d_eigen": grid_cos_angle([eps], [1.0], 1.0),
+                "d_weak_vs_eigen": grid_cos_angle(eps * (vals - 1.0), weights, 1.0),
+                "d_expect_vs_eigen": math.sqrt(fid_sq)}
+        for key, cos_quad in quad.items():
+            closed = math.cos(getattr(row, key))
+            worst = max(worst, abs(closed - cos_quad) / closed)
+        pointer = (eps * vals, weights)
+        p_quad = grid_overlap(pointer, pointer, 1.0).real
+        worst = max(worst, abs(row.postselect_probability - p_quad) / p_quad)
     report(6, "oracle equivalence", worst <= 1e-6,
            f"max relative closed-form vs quadrature deviation {worst:.2e} <= 1e-6")
 
@@ -108,7 +106,8 @@ def test_criterion_7_c_number_replacement():
     spec = weak_value_one_scenario(CFG)
     cfg = CouplingConfig(g=1.0, epsilon=1e-3, delta=1.0)
     check = effective_shift_check(spec.pre, spec.post, spec.observable, cfg)
-    moved = bures_pure(gaussian(0.0, 1.0), check.actual)
+    vals, weights = branch_weights(spec.pre, spec.post, spec.observable)
+    moved = angle(cfg.g * cfg.epsilon * vals, weights, cfg.delta)
     ratio = check.distance / moved
     report(7, "c-number replacement", ratio < 0.02,
            f"distance-to-ideal / distance-moved = {ratio:.2e} < 0.02")
@@ -153,8 +152,10 @@ def test_criterion_9_property_suite(capsys):
     # post-selection probabilities over an orthonormal basis sum to one
     cfg = CouplingConfig(1.0, 0.05, 1.0)
     q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-    total = sum(post_select(pre, make_state(list(zip(labels, q[:, k]))), a, cfg).probability
-                for k in range(5))
+    total = 0.0
+    for k in range(5):
+        vals, weights = branch_weights(pre, make_state(list(zip(labels, q[:, k]))), a)
+        total += norm_sq(cfg.g * cfg.epsilon * vals, weights, cfg.delta)
     parts.append(("completeness", abs(total - 1.0) <= 1e-10))
 
     # Bures angles stay inside [0, pi/2]

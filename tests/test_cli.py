@@ -3,6 +3,7 @@
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,18 @@ class TestCompareCommand:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        "compare --g 1e300 --eps 1e10",
+        "compare --g 1e200 --eps 1e-3 --delta 1e-300",
+        "amplify --alpha-tan 10 --g 1e300 --eps 1e10",
+    ])
+    def test_overflowing_coupling_exits_2(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("wvsim: error: g*epsilon/delta is out of floating-point range")
 
     def test_grid_that_rounds_to_repeated_values_exits_2(self, capsys):
         code, out, err = run(capsys, "compare", "--eps-grid", "1:1.0000000000000002:5:lin")

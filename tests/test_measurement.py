@@ -1,4 +1,4 @@
-"""Measurement protocol: coupling, post-selection, weak values, weakness."""
+"""Measurement protocol: branch weights, post-selection, weak values, weakness."""
 
 import math
 
@@ -8,13 +8,12 @@ import pytest
 from wvsim.errors import InvalidData, OrthogonalSelection
 from wvsim.measurement import (
     CouplingConfig,
+    branch_weights,
     effective_shift_check,
-    no_postselect_mixture,
-    post_select,
     weak_value,
     weakness_metric,
 )
-from wvsim.pointer import bures_mixed, bures_pure, gaussian, mean_position, superpose
+from wvsim.pointer import angle, mean_position, mixture_angle, norm_sq
 from wvsim.qstate import Observable, expectation, inner, make_state
 
 A3 = Observable.diagonal((-1, 0, 1))
@@ -24,6 +23,16 @@ POST3 = make_state([(-1, 1), (0, -2), (1, 0)])
 
 def cfg(eps=0.01, g=1.0, delta=1.0):
     return CouplingConfig(g=g, epsilon=eps, delta=delta)
+
+
+def pointer(pre, post, a, c):
+    """(kicks, weights) of the pointer that coupling `a` with `c` leaves."""
+    vals, weights = branch_weights(pre, post, a)
+    return c.g * c.epsilon * vals, weights
+
+
+def probability(pre, post, a, c):
+    return norm_sq(*pointer(pre, post, a, c), c.delta)
 
 
 class TestWeakValue:
@@ -81,14 +90,16 @@ class TestWeakValue:
 class TestCouple:
     def test_eigenstate_single_populated_branch(self):
         e1 = make_state([(-1, 0), (0, 0), (1, 1)])
-        result = post_select(e1, e1, A3, cfg())
-        assert result.pointer.terms == ((0.01, 1 + 0j),)
-        assert result.probability == 1.0
+        kicks, weights = pointer(e1, e1, A3, cfg())
+        assert [(u, w) for u, w in zip(kicks, weights) if w != 0] == [(0.01, 1 + 0j)]
+        assert probability(e1, e1, A3, cfg()) == 1.0
 
     def test_superposition_branch_shifts(self):
         a = Observable.diagonal((0, 1, 2))
         pre = make_state([(0, 1), (1, 1), (2, 1)])
-        assert post_select(pre, pre, a, cfg()).pointer.shifts == (0.0, 0.01, 0.02)
+        kicks, weights = pointer(pre, pre, a, cfg())
+        assert tuple(kicks) == (0.0, 0.01, 0.02)
+        assert all(weights != 0)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(12)
@@ -96,57 +107,62 @@ class TestCouple:
         for _ in range(20):
             amps = rng.normal(size=4) + 1j * rng.normal(size=4)
             pre = make_state(list(zip(labels, amps)))
-            mix = no_postselect_mixture(pre, Observable.diagonal(labels), cfg())
-            assert sum(p for p, _ in mix.components) == pytest.approx(1.0, abs=1e-12)
+            _, born = branch_weights(pre, None, Observable.diagonal(labels))
+            assert sum(born) == pytest.approx(1.0, abs=1e-12)
 
     def test_vanishing_coupling_limit_is_product_state(self):
-        result = post_select(PRE3, PRE3, A3, cfg(eps=1e-15))
-        assert max(abs(mu) for mu in result.pointer.shifts) <= 1e-15
-        assert result.probability == pytest.approx(1.0, abs=1e-12)
-        assert bures_pure(result.pointer, gaussian(0.0, 1.0)) < 1e-12
+        kicks, weights = pointer(PRE3, PRE3, A3, cfg(eps=1e-15))
+        assert max(abs(mu) for mu in kicks) <= 1e-15
+        assert norm_sq(kicks, weights, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert angle(kicks, weights, 1.0) < 1e-12
 
     def test_non_diagonal_observable_goes_through_eigenbasis(self):
         sigma_x = Observable((0, 1), np.array([[0, 1], [1, 0]], dtype=complex))
         pre = make_state([(0, 1), (1, 0)])
-        mix = no_postselect_mixture(pre, sigma_x, cfg())
-        assert [state.shifts[0] for _, state in mix.components] == pytest.approx([-0.01, 0.01])
-        np.testing.assert_allclose([p for p, _ in mix.components], [0.5, 0.5], atol=1e-12)
-        result = post_select(pre, pre, sigma_x, cfg())
+        kicks, born = pointer(pre, None, sigma_x, cfg())
+        assert list(kicks) == pytest.approx([-0.01, 0.01])
+        np.testing.assert_allclose(born, [0.5, 0.5], atol=1e-12)
+        kicks, weights = pointer(pre, pre, sigma_x, cfg())
         # (G_+ + G_-)/norm: symmetric, and P(0) = (1 + exp(-(2 g eps)^2/8))/2
-        assert mean_position(result.pointer) == pytest.approx(0.0, abs=1e-12)
-        assert result.probability == pytest.approx((1 + math.exp(-0.02 ** 2 / 8)) / 2, abs=1e-14)
+        assert mean_position(kicks, weights, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert norm_sq(kicks, weights, 1.0) == pytest.approx(
+            (1 + math.exp(-0.02 ** 2 / 8)) / 2, abs=1e-14)
 
 
 class TestPostSelect:
     def test_conditioned_pointer_and_probability(self):
         g, eps = 1.0, 0.01
-        result = post_select(PRE3, POST3, A3, cfg(eps))
-        expected = superpose([(2.0, gaussian(0.0, 1.0)), (-1.0, gaussian(-g * eps, 1.0))])
-        assert bures_pure(result.pointer, expected) == pytest.approx(0.0, abs=1e-7)
+        kicks, weights = pointer(PRE3, POST3, A3, cfg(eps))
+        # the conditioned pointer is proportional to 2 G_0 - G_{-g eps}
+        np.testing.assert_allclose(kicks, [-g * eps, 0.0, g * eps], atol=1e-17)
+        np.testing.assert_allclose(weights / weights[1], [-0.5, 1.0, 0.0], atol=1e-14)
         # exact Gram-matrix probability: (5 - 4 exp(-(g eps)^2/8))/10
         s = math.exp(-(g * eps) ** 2 / 8)
-        assert result.probability == pytest.approx((5 - 4 * s) / 10, abs=1e-14)
+        assert norm_sq(kicks, weights, 1.0) == pytest.approx((5 - 4 * s) / 10, abs=1e-14)
 
     def test_probability_approaches_selection_overlap_squared(self):
         for eps in (1e-3, 1e-4, 1e-5):
-            p = post_select(PRE3, POST3, A3, cfg(eps)).probability
+            p = probability(PRE3, POST3, A3, cfg(eps))
             assert abs(p - 0.1) < eps ** 2
 
     def test_impossible_when_orthogonal_with_identical_shifts(self):
+        # equal kicks carry the selection amplitude <post|pre> = 0 unchanged,
+        # so the post-selection probability is exactly zero at any coupling
         ident = Observable.diagonal((0, 1), [1.0, 1.0])
         pre = make_state([(0, 1), (1, 1)])
         post = make_state([(0, 1), (1, -1)])
-        with pytest.raises(OrthogonalSelection,
-                           match="post-selection amplitude vanishes for every pointer component"):
-            post_select(pre, post, ident, cfg())
+        for eps in (1e-3, 0.01, 10.0):
+            assert probability(pre, post, ident, cfg(eps)) == 0.0
+        with pytest.raises(OrthogonalSelection, match="pre- and post-selection are orthogonal"):
+            weakness_metric(pre, post, ident, cfg())
 
     def test_orthogonal_selection_with_distinct_shifts_still_possible(self):
         pre = make_state([(-1, 1), (0, 0), (1, 1)])
         post = make_state([(-1, 1), (0, 0), (1, -1)])
-        result = post_select(pre, post, A3, cfg(0.1))
+        p = probability(pre, post, A3, cfg(0.1))
         # back-action alone feeds the orthogonal branch: p = (1 - exp(-(2 g eps)^2/8))/2
-        assert result.probability == pytest.approx((1 - math.exp(-0.2 ** 2 / 8)) / 2, abs=1e-14)
-        assert 0 < result.probability < 1e-2
+        assert p == pytest.approx((1 - math.exp(-0.2 ** 2 / 8)) / 2, abs=1e-14)
+        assert 0 < p < 1e-2
 
     def test_completeness_over_orthonormal_bases(self):
         rng = np.random.default_rng(13)
@@ -159,44 +175,45 @@ class TestPostSelect:
             total = 0.0
             for k in range(4):
                 post = make_state(list(zip(labels, q[:, k])))
-                total += post_select(pre, post, a, cfg(0.3)).probability
+                total += probability(pre, post, a, cfg(0.3))
             assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_basis_mismatch(self):
         with pytest.raises(InvalidData, match=r"bases differ: \(0, 1, 2\) vs \(-1, 0, 1\)"):
-            post_select(PRE3, make_state([(0, 1), (1, 1), (2, 1)]), A3, cfg())
+            branch_weights(PRE3, make_state([(0, 1), (1, 1), (2, 1)]), A3)
 
 
 class TestNoPostselectMixture:
     def test_equal_weights_at_zero_and_double_shift(self):
         a = Observable.diagonal((0, 1, 2))
         pre = make_state([(0, 1), (1, 0), (2, 1)])
-        mix = no_postselect_mixture(pre, a, cfg())
-        weights = [p for p, _ in mix.components]
-        shifts = [state.shifts[0] for _, state in mix.components]
-        np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-14)
-        np.testing.assert_allclose(shifts, [0.0, 0.02], atol=1e-15)
+        kicks, born = pointer(pre, None, a, cfg())
+        populated = born != 0
+        np.testing.assert_allclose(born[populated], [0.5, 0.5], atol=1e-14)
+        np.testing.assert_allclose(kicks[populated], [0.0, 0.02], atol=1e-15)
 
     def test_eigenstate_gives_pure_single_component(self):
         e1 = make_state([(-1, 0), (0, 0), (1, 1)])
-        mix = no_postselect_mixture(e1, A3, cfg())
-        assert len(mix.components) == 1
-        p, state = mix.components[0]
-        assert p == pytest.approx(1.0)
-        assert bures_pure(state, gaussian(0.01, 1.0)) == 0.0
+        kicks, born = pointer(e1, None, A3, cfg())
+        assert np.count_nonzero(born) == 1
+        assert born[kicks == 0.01] == pytest.approx([1.0])
+        assert mixture_angle(kicks - 0.01, born, 1.0) == 0.0
 
     def test_three_equal_born_weights(self):
         a = Observable.diagonal((0, 1, 2))
         pre = make_state([(0, 1), (1, 1), (2, 1)])
-        mix = no_postselect_mixture(pre, a, cfg())
-        np.testing.assert_allclose([p for p, _ in mix.components], [1 / 3] * 3, atol=1e-14)
+        _, born = branch_weights(pre, None, a)
+        np.testing.assert_allclose(born, [1 / 3] * 3, atol=1e-14)
 
     def test_degenerate_shifts_merge(self):
+        # the mixture angle is linear in the weights: equal kicks need no merging
         ident = Observable.diagonal((0, 1), [1.0, 1.0])
         pre = make_state([(0, 1), (1, 1j)])
-        mix = no_postselect_mixture(pre, ident, cfg())
-        assert len(mix.components) == 1
-        assert mix.components[0][1].shifts == (0.01,)
+        kicks, born = pointer(pre, None, ident, cfg())
+        assert list(kicks) == [0.01, 0.01]
+        for center in (0.0, 0.01, 0.5):
+            assert mixture_angle(kicks - center, born, 1.0) == pytest.approx(
+                mixture_angle([0.01 - center], [1.0], 1.0), abs=1e-15)
 
 
 class TestWeaknessMetric:
@@ -229,7 +246,7 @@ class TestWeaknessMetric:
         p0 = abs(inner(post, pre)) ** 2
 
         def drift(c):
-            return abs(post_select(pre, post, sz, c).probability - p0) / p0
+            return abs(probability(pre, post, sz, c) - p0) / p0
 
         strong = cfg(0.1)
         assert weakness_metric(pre, post, sz, strong) < 1e-2
@@ -240,7 +257,7 @@ class TestWeaknessMetric:
 class TestEffectiveShiftCheck:
     def test_weak_value_shift_matches_quadratic_law(self):
         check = effective_shift_check(PRE3, POST3, A3, cfg(0.01))
-        assert check.ideal.shifts == (0.01,)
+        assert check.ideal == 0.01
         assert check.distance == pytest.approx(1e-4 / (2 * math.sqrt(2)), rel=0.05)
 
     def test_eigenstate_shift_is_exact(self):
@@ -254,13 +271,13 @@ class TestEffectiveShiftCheck:
         pre = make_state([(-1, (c - s) * inv), (1, (c + s) * inv)])
         post = make_state([(-1, inv), (1, inv)])
         check = effective_shift_check(pre, post, Observable.diagonal((-1, 1)), cfg(1e-4))
-        assert check.ideal.shifts[0] == pytest.approx(100 * 1e-4, rel=1e-9)
+        assert check.ideal == pytest.approx(100 * 1e-4, rel=1e-9)
 
     def test_replacement_quality_scales_one_order_faster(self):
         ratios = []
         for eps in (1e-2, 1e-3):
             check = effective_shift_check(PRE3, POST3, A3, cfg(eps))
-            moved = bures_pure(gaussian(0.0, 1.0), check.actual)
+            moved = angle(*pointer(PRE3, POST3, A3, cfg(eps)), 1.0)
             ratios.append(check.distance / moved)
         assert ratios[1] < 0.2 * ratios[0]
 
@@ -269,14 +286,13 @@ class TestScalingLaw:
     def test_weak_value_coupling_mimics_the_eigenvalue(self):
         for eps in (1e-2, 1e-3):
             g = 1.0
-            phi0 = gaussian(0.0, 1.0)
-            phi_e = gaussian(g * eps, 1.0)
-            phi_w = post_select(PRE3, POST3, A3, cfg(eps)).pointer
-            mix = no_postselect_mixture(
-                make_state([(0, 1), (1, 0), (2, 1)]), Observable.diagonal((0, 1, 2)), cfg(eps))
-            d_ref = bures_pure(phi0, phi_e)
-            assert bures_pure(phi_e, phi_w) / d_ref < 0.05
-            assert bures_mixed(phi_e, mix) / d_ref == pytest.approx(1.0, rel=1e-3)
+            kicks, weights = pointer(PRE3, POST3, A3, cfg(eps))
+            kicks_x, born = pointer(make_state([(0, 1), (1, 0), (2, 1)]), None,
+                                    Observable.diagonal((0, 1, 2)), cfg(eps))
+            d_ref = angle([g * eps], [1.0], 1.0)
+            assert angle(kicks - g * eps, weights, 1.0) / d_ref < 0.05
+            assert mixture_angle(kicks_x - g * eps, born, 1.0) / d_ref == pytest.approx(
+                1.0, rel=1e-3)
 
 
 class TestCouplingConfig:

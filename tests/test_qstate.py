@@ -53,6 +53,12 @@ class TestMakeState:
                                    rtol=1e-15)
 
 
+    @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
+    def test_non_finite_amplitude_rejected(self, amp):
+        with pytest.raises(InvalidData, match="amplitude of label 0 is not finite"):
+            make_state([(1, 1), (0, amp)])
+
+
 class TestInner:
     def test_two_state_selection_overlap(self):
         bra = make_state([(-1, 1), (0, -2)])
@@ -116,6 +122,11 @@ class TestObservable:
     def test_non_hermitian_rejected(self):
         with pytest.raises(InvalidData, match="matrix is not equal to its conjugate transpose"):
             Observable((0, 1), np.array([[0, 1], [0, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(InvalidData, match=r"matrix entry \(3, 1\) is not finite"):
+            Observable((1, 3), [[1, 0], [bad, 1]])
 
     def test_diagonal_constructor_has_exact_zero_offdiagonals(self):
         a = Observable.diagonal((-1, 0, 1))
