@@ -28,6 +28,9 @@ DEFAULT_GRID_SPEC = "1e-3:1e-2:8:log"
 COMPARE_COLUMNS = ("epsilon", "d_eigen", "d_weak_vs_eigen", "d_expect_vs_eigen",
                    "p_postselect", "weakness")
 AMPLIFY_COLUMNS = ("tan_half_alpha", "mean_shift_over_g_eps", "p_postselect", "weak_flag")
+CONFIG_KEYS = {"weak-value": ("pre", "post", "obs"),
+               "compare": ("g", "delta", "eps", "eps-grid"),
+               "amplify": ("g", "delta", "eps", "alpha-tan")}
 
 
 def fmt(x: float) -> str:
@@ -104,13 +107,19 @@ def parse_grid_spec(text: str) -> tuple[tuple[float, ...], str]:
     return tuple(float(e) for e in grid), f"{fmt(lo)}:{fmt(hi)}:{n}:{kind}"
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, command: str) -> dict:
+    """The flat JSON object in `path`; every key must be one `command` reads."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidData(f"cannot read config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidData("config file must hold a flat JSON object")
+    keys = CONFIG_KEYS[command]
+    for key in data:
+        if key not in keys:
+            raise InvalidData(f"config key {key!r} is not read by {command}; "
+                              f"it reads {', '.join(keys)}")
     return data
 
 
@@ -124,6 +133,8 @@ def pick(cli_value, config: dict, key: str, default=None):
 
 
 def positive(value, name: str) -> float:
+    if isinstance(value, bool):  # a JSON true would otherwise read as 1
+        raise InvalidData(f"{name} must be a number, got {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError):
@@ -243,19 +254,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "pointer-distance scaling sweeps, amplification tables.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, command: str) -> None:
         p.add_argument("--out", default="-", metavar="PATH",
                        help="output file, or - for stdout (default)")
         p.add_argument("--format", choices=("csv", "pretty"), default="csv")
         p.add_argument("--config", metavar="PATH",
-                       help="flat JSON file with the same keys as the flags; "
-                            "flags take precedence")
+                       help=f"flat JSON file with any of the keys "
+                            f"{', '.join(CONFIG_KEYS[command])}; flags take precedence")
 
     wv = sub.add_parser("weak-value", help="print <post|A|pre>/<post|pre>")
     wv.add_argument("--pre", metavar="SPEC", help="state spec, e.g. -1:1,0:1")
     wv.add_argument("--post", metavar="SPEC", help="state spec, e.g. -1:1,0:-2")
     wv.add_argument("--obs", metavar="SPEC", help="diag or proj:<j>")
-    common(wv)
+    common(wv, "weak-value")
 
     cp = sub.add_parser("compare",
                         help="eigenvalue vs weak-value vs expectation-value "
@@ -265,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--eps", type=float, help="single interaction duration")
     cp.add_argument("--eps-grid", metavar="LO:HI:N:log|lin",
                     help=f"epsilon sweep grid (default {DEFAULT_GRID_SPEC})")
-    common(cp)
+    common(cp, "compare")
 
     am = sub.add_parser("amplify", help="pointer shift amplification table")
     am.add_argument("--g", type=float, help="coupling strength (default 1)")
@@ -273,14 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     am.add_argument("--eps", type=float, help="interaction duration (default 1e-4)")
     am.add_argument("--alpha-tan", metavar="T1,T2,...",
                     help="tan(alpha/2) values to sweep")
-    common(am)
+    common(am, "amplify")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else {}
+        config = load_config(args.config, args.command) if args.config else {}
         if args.command == "weak-value":
             return cmd_weak_value(args, config)
         if args.command == "compare":

@@ -8,7 +8,6 @@ simplicity win over sparse machinery.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -101,19 +100,26 @@ def make_state(pairs: Iterable[tuple[int, complex]]) -> SystemState:
             raise InvalidData(f"amplitude of label {label} is not finite: {amp}")
         seen.add(label)
     items.sort(key=lambda t: t[0])
-    # Rescale by a power of two (exact) so the largest real or imaginary part
-    # lies in [0.5, 1): the norm can then neither overflow nor underflow.
-    e = math.frexp(max((max(abs(a.real), abs(a.imag)) for _, a in items), default=0.0))[1]
-    vec = np.array([complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e)) for _, a in items],
-                   dtype=complex)
+    vec = normalize(np.array([amp for _, amp in items], dtype=complex))
+    return SystemState(tuple(label for label, _ in items), tuple(vec.tolist()))
+
+
+def normalize(vec) -> np.ndarray:
+    """Each row of finite amplitudes `vec` (its last axis) divided by its
+    norm, as a new complex array; a row of zeros is an error."""
+    parts = np.ascontiguousarray(vec, dtype=complex).view(float)
+    # Rescale each row by a power of two (exact) so its largest real or
+    # imaginary part lies in [0.5, 1): the norm can then neither overflow nor
+    # underflow.
+    e = np.frexp(np.abs(parts).max(axis=-1, keepdims=True, initial=0.0))[1]
+    parts = np.ldexp(parts, -e)
     # The sum numpy.linalg.norm forms (so bit-identical), without its
     # argument handling, which costs more than the arithmetic here.
-    re, im = vec.real, vec.imag
-    norm = math.sqrt(re.dot(re) + im.dot(im))
-    if norm == 0.0:
+    re, im = parts[..., 0::2], parts[..., 1::2]
+    norm = np.sqrt(np.vecdot(re, re, keepdims=True) + np.vecdot(im, im, keepdims=True))
+    if not norm.all():
         raise InvalidData("all amplitudes are zero")
-    vec = vec / norm
-    return SystemState(tuple(label for label, _ in items), tuple(map(complex, vec)))
+    return parts.view(complex) / norm
 
 
 def check_basis(a: tuple[int, ...], b: tuple[int, ...]) -> None:

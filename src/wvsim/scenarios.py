@@ -22,10 +22,11 @@ import numpy as np
 from . import pointer
 from .errors import InvalidData
 from .measurement import CouplingConfig, branch_weights, weak_value, weakness
-from .qstate import Observable, SystemState, expectation, make_state
+from .qstate import Observable, SystemState, expectation, make_state, normalize
 
 DEFAULT_EPSILON_GRID = tuple(float(e) for e in np.geomspace(1e-3, 1e-2, 8))
 WEAKNESS_THRESHOLD = 1e-2
+SPIN_Z = Observable.diagonal((-1, 1))  # shared, so its eigenbasis is computed once
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,22 @@ def spin_amplification_scenario(alpha: float, cfg: CouplingConfig) -> ScenarioSp
     +-1 eigenvalue range as alpha approaches pi; the price is a
     post-selection probability of cos^2(alpha/2).
     """
-    if not 0.0 < alpha < math.pi:
-        raise InvalidData(f"alpha must lie in (0, pi), got {alpha}")
-    c, s = math.cos(alpha / 2), math.sin(alpha / 2)
+    pre, post = _spin_selections([alpha])
+    return ScenarioSpec("spin_amplification", SystemState((-1, 1), tuple(pre[0].tolist())),
+                        SPIN_Z, cfg, SystemState((-1, 1), tuple(post.tolist())))
+
+
+def _spin_selections(alphas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes on labels (-1, 1) of the pre-selection for each alpha, as
+    rows of an (n, 2) array, and of the common post-selection."""
+    for alpha in alphas:
+        if not 0.0 < alpha < math.pi:
+            raise InvalidData(f"alpha must lie in (0, pi), got {alpha}")
+    c = np.array([math.cos(alpha / 2) for alpha in alphas])
+    s = np.array([math.sin(alpha / 2) for alpha in alphas])
     inv = 1.0 / math.sqrt(2.0)
-    pre = make_state([(-1, (c - s) * inv), (1, (c + s) * inv)])
-    post = make_state([(-1, inv), (1, inv)])
-    return ScenarioSpec("spin_amplification", pre, Observable.diagonal((-1, 1)), cfg, post)
+    return (normalize(np.stack([(c - s) * inv, (c + s) * inv], axis=-1)),
+            normalize([inv, inv]))
 
 
 def weak_value_one_scenario(cfg: CouplingConfig,
@@ -196,11 +206,11 @@ def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> list[Am
     WEAKNESS_THRESHOLD of their zero-coupling values.
     """
     alphas = list(alphas)
-    specs = [spin_amplification_scenario(alpha, cfg) for alpha in alphas]
-    if not specs:
+    if not alphas:
         return []
-    branches = [branch_weights(s.pre, s.post, s.observable) for s in specs]
-    vals, w = branches[0][0], np.array([weights for _, weights in branches])
+    pre, post = _spin_selections(alphas)
+    # sigma_z is diagonal on the labels, so the amplitudes are the branch ones
+    vals, w = SPIN_Z.eigenbasis[0], np.conj(post) * pre
     p0 = np.abs(np.sum(w, axis=-1)) ** 2
     with _finite_columns(cfg.g, cfg.epsilon, cfg.delta):
         kick = np.float64(cfg.g) * cfg.epsilon

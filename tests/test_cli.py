@@ -1,12 +1,17 @@
 """Command-line interface: grammar, CSV contract, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import re
 import shlex
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wvsim.cli import main, parse_amplitude, parse_grid_spec, parse_state_spec
 from wvsim.errors import InvalidData
@@ -104,6 +109,8 @@ class TestWeakValueCommand:
          "wvsim: error: epsilon grid must be strictly increasing\n"),
         ("weak-value --pre=0:1,1:0 --post=0:0,1:1 --obs diag", 3,
          "wvsim: |<post|pre>| = 0.000e+00 at or below floor 1.000e-12\n"),
+        ("amplify --alpha-tan 1e13 --eps 1e-12", 3,
+         "wvsim: pre- and post-selection are orthogonal\n"),
     ])
     def test_error_line_and_exit_code(self, capsys, argv, code, err):
         assert run(capsys, *argv.split()) == (code, "", err)
@@ -249,6 +256,26 @@ class TestAmplifyCommand:
         row = out.splitlines()[-1].split(",")
         assert float(row[2]) == pytest.approx(1 / (1 + 100.0 ** 2), abs=1e-3)
 
+    @settings(max_examples=60, deadline=None)
+    @given(tans=st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=8),
+           eps=st.floats(1e-6, 1e-1))
+    def test_table_is_finite_or_orthogonal(self, tans, eps):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["amplify", "--alpha-tan", ",".join(map(repr, tans)),
+                         "--eps", repr(eps)])
+        out = out.getvalue()
+        assert "nan" not in out and "inf" not in out
+        if code == 3:
+            assert (out, err.getvalue()) == ("", "wvsim: pre- and post-selection are orthogonal\n")
+            return
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert len(rows) == len(tans)
+        for row in rows:
+            assert all(math.isfinite(float(cell)) for cell in row[:3])
+            assert 0.0 <= float(row[2]) <= 1.0
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, capsys, tmp_path):
@@ -271,6 +298,26 @@ class TestConfigFile:
     def test_missing_config_exits_2(self, capsys):
         code, _, _ = run(capsys, "compare", "--config", "/nonexistent.json")
         assert code == 2
+
+    @pytest.mark.parametrize("command, config, err", [
+        ("amplify", {"g": True, "eps": 1e-3}, "g must be a number, got True"),
+        ("compare", {"eps": True}, "eps must be a number, got True"),
+        ("amplify", {"gg": 5, "eps": 1e-3},
+         "config key 'gg' is not read by amplify; it reads g, delta, eps, alpha-tan"),
+        ("compare", {"eps": 1e-3, "pre": "0:1"},
+         "config key 'pre' is not read by compare; it reads g, delta, eps, eps-grid"),
+        ("weak-value", {"pre": "0:1", "post": "0:1", "obs": "diag", "eps": 1e-3},
+         "config key 'eps' is not read by weak-value; it reads pre, post, obs"),
+        ("compare", {"format": "pretty"},
+         "config key 'format' is not read by compare; it reads g, delta, eps, eps-grid"),
+    ], ids=["bool-g", "bool-eps", "unknown-key", "other-command-key", "weak-value-key",
+            "format-key"])
+    def test_bad_config_exits_2(self, capsys, tmp_path, command, config, err):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        flags = ["--alpha-tan", "1"] if command == "amplify" else []
+        assert (run(capsys, command, "--config", str(path), *flags)
+                == (2, "", f"wvsim: error: {err}\n"))
 
 
 class TestNumberFormatting:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wvsim.errors import InvalidData
-from wvsim.qstate import Observable, apply, expectation, inner, make_state
+from wvsim.qstate import Observable, apply, expectation, inner, make_state, normalize
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT10 = 0.31622776601683794  # 1/sqrt(10)
@@ -35,6 +35,8 @@ class TestMakeState:
     def test_zero_vector_rejected(self):
         with pytest.raises(InvalidData, match="all amplitudes are zero"):
             make_state([(0, 0), (1, 0)])
+        with pytest.raises(InvalidData, match="^all amplitudes are zero$"):
+            normalize([[1, 2j], [0, 0], [3, 0]])
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(InvalidData, match="label 0 given more than once"):
@@ -52,6 +54,25 @@ class TestMakeState:
         np.testing.assert_allclose(state.vector, np.array([1, -1 + 1j]) / math.sqrt(3),
                                    rtol=1e-15)
 
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_normalize_rows_equal_make_state_bitwise(self, d):
+        def one_by_one(row):  # exact power-of-two rescale, then numpy.linalg.norm's sum
+            e = math.frexp(max(max(abs(a.real), abs(a.imag)) for a in row))[1]
+            vec = np.array([complex(math.ldexp(a.real, -e), math.ldexp(a.imag, -e))
+                            for a in row])
+            return vec / math.sqrt(vec.real.dot(vec.real) + vec.imag.dot(vec.imag))
+
+        rng = np.random.default_rng([5, d])
+        rows = ((rng.standard_normal((40, d)) + 1j * rng.standard_normal((40, d)))
+                * 10.0 ** rng.uniform(-300, 300, (40, 1)))
+        rows[rng.random((40, d)) < 0.15] = 0.0
+        rows[:, 0] += rows[:, 0] == 0  # no all-zero row
+        batched = normalize(rows)
+        for row, out in zip(rows, batched):
+            ref = one_by_one(row).tobytes()
+            assert out.tobytes() == ref
+            assert normalize(row).tobytes() == ref
+            assert np.array(make_state(zip(range(d), row)).amplitudes).tobytes() == ref
 
     @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
     def test_non_finite_amplitude_rejected(self, amp):

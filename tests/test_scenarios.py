@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from wvsim import pointer, qstate, scenarios
 from wvsim.errors import InvalidData
-from wvsim.measurement import CouplingConfig, weak_value
+from wvsim.measurement import CouplingConfig, branch_weights, weak_value, weakness
 from wvsim.qstate import expectation, inner
 from wvsim.scenarios import (
     DEFAULT_EPSILON_GRID,
+    WEAKNESS_THRESHOLD,
     amplification_sweep,
     expectation_scenario,
     fit_power_law,
@@ -47,10 +49,15 @@ class TestSpinAmplificationScenario:
             wv = weak_value(spec.pre, spec.post, spec.observable)
             assert abs(wv - math.tan(alpha / 2)) < 1e-9 * max(1.0, abs(math.tan(alpha / 2)))
 
-    def test_angle_out_of_range(self):
+    def test_angle_out_of_range(self, monkeypatch):
         for alpha in (0.0, -1.0, math.pi, 4.0):
             with pytest.raises(InvalidData, match=r"alpha must lie in \(0, pi\)"):
                 spin_amplification_scenario(alpha, CFG)
+        # a sweep names its first bad angle before building any state
+        monkeypatch.setattr(scenarios, "normalize", None)
+        for alpha in (0.0, -1.0, math.pi, 4.0):
+            with pytest.raises(InvalidData, match=rf"^alpha must lie in \(0, pi\), got {alpha}$"):
+                amplification_sweep([1.0, alpha, -2.0], CFG)
 
 
 class TestWeakValueOneScenario:
@@ -180,11 +187,59 @@ class TestFitPowerLaw:
 class TestAmplificationSweep:
     def test_shift_tracks_weak_value_in_weak_regime(self):
         cfg = CouplingConfig(g=1.0, epsilon=1e-4, delta=1.0)
-        rows = amplification_sweep([2 * math.atan(t) for t in (1.0, 10.0, 100.0)], cfg)
+        alphas = [2 * math.atan(t) for t in (1.0, 10.0, 100.0)]
+        rows = amplification_sweep(alphas, cfg)
         for row, target in zip(rows, (1.0, 10.0, 100.0)):
             assert row.mean_shift_over_g_eps == pytest.approx(target, rel=0.02)
             assert row.weak
             assert row.postselect_probability == pytest.approx(1 / (1 + target ** 2), abs=1e-3)
+        assert amplification_sweep(iter(alphas), cfg) == rows
+        assert amplification_sweep(np.array(alphas), cfg) == rows
+        assert amplification_sweep(iter([]), cfg) == amplification_sweep(np.array([]), cfg) == []
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-4, 3e-3, 1e-2])
+    def test_sweep_equals_row_by_row_reference_bitwise(self, eps):
+        tans = [*10.0 ** np.random.default_rng(9).uniform(-8.0, 12.0, 60), 0.5, 1, 2, 10, 100, 1000, 50000, 1e5]
+        alphas = [2 * math.atan(t) for t in tans]
+        cfg = CouplingConfig(g=1.5, epsilon=eps, delta=2.0)
+        # one scenario and one branch_weights call per row, the kernel per row
+        kick = np.float64(cfg.g) * eps
+        expected = []
+        for alpha in alphas:
+            spec = spin_amplification_scenario(alpha, cfg)
+            vals, w = branch_weights(spec.pre, spec.post, spec.observable)
+            metric = weakness(kick * vals, w, cfg.delta)
+            prob = min(pointer.norm_sq(kick * vals, w, cfg.delta), 1.0)
+            shift = pointer.mean_position(kick * vals, w, cfg.delta) / kick
+            p0 = abs(np.sum(w)) ** 2
+            weak = metric <= WEAKNESS_THRESHOLD and abs(prob - p0) / p0 <= WEAKNESS_THRESHOLD
+            expected.append((math.tan(alpha / 2), shift, prob, metric, weak))
+        rows = amplification_sweep(alphas, cfg)
+        got = [(r.tan_half_alpha, r.mean_shift_over_g_eps, r.postselect_probability,
+                r.weakness, r.weak) for r in rows]
+        assert np.array(got, dtype=float).tobytes() == np.array(expected, dtype=float).tobytes()
+
+    def test_work_does_not_grow_with_rows(self, monkeypatch):
+        counts = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        make_state = counted("make_state", qstate.make_state)
+        for module in (qstate, scenarios):
+            monkeypatch.setattr(module, "make_state", make_state)
+        for cls in (scenarios.ScenarioSpec, qstate.Observable):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+        per_size = []
+        for n in (2, 200):
+            counts.clear()
+            amplification_sweep(np.linspace(0.1, 3.0, n), CFG)
+            per_size.append(dict(counts))
+        assert per_size[0] == per_size[1]
 
     def test_unit_weak_value_shift_is_exact(self):
         cfg = CouplingConfig(g=1.0, epsilon=1e-4, delta=1.0)
