@@ -14,7 +14,6 @@ import cmath
 import json
 import math
 import sys
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +205,7 @@ def cmd_compare(args: argparse.Namespace, config: dict) -> int:
     rows = scenarios.run_comparison(
         [scenarios.weak_value_one_scenario(cfg), scenarios.expectation_scenario(cfg)],
         grid)
-    cells = [tuple(map(fmt, astuple(r))) for r in rows]  # fields in COMPARE_COLUMNS order
+    cells = [tuple(map(fmt, r)) for r in rows]
     trailers = []
     if len(rows) >= 4:
         for name in ("d_eigen", "d_weak_vs_eigen", "d_expect_vs_eigen"):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import InvalidData, OrthogonalSelection
 from .qstate import Observable, SystemState, apply, check_basis, inner
 
 DEFAULT_OVERLAP_FLOOR = 1e-12
+_SELECTION_MEMO_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -44,31 +46,66 @@ class ShiftCheck(NamedTuple):
     distance: float   # Bures angle from the conditioned pointer to it
 
 
+class _Selection:
+    """The quantities of one (pre, post, A) selection, each computed on first
+    use. A failed computation raises again on every use, as it is not cached."""
+
+    def __init__(self, pre: SystemState, post: SystemState, a: Observable):
+        self.pre, self.post, self.a = pre, post, a
+
+    @cached_property
+    def weak_value(self) -> complex:
+        denom = inner(self.post, self.pre)
+        if abs(denom) <= DEFAULT_OVERLAP_FLOOR:
+            raise OrthogonalSelection(f"|<post|pre>| = {abs(denom):.3e} at or below "
+                                      f"floor {DEFAULT_OVERLAP_FLOOR:.3e}")
+        return complex(np.vdot(self.post.vector, apply(self.a, self.pre))) / denom
+
+    @cached_property
+    def branches(self) -> tuple[np.ndarray, np.ndarray]:
+        vals, c = _eigen_amplitudes(self.pre, self.a)
+        w = np.conj(_eigen_amplitudes(self.post, self.a)[1]) * c
+        w.flags.writeable = False
+        return vals, w
+
+
+def _selection(pre: SystemState, post: SystemState, a: Observable) -> _Selection:
+    """The `_Selection` of (pre, post, a), shared by every call with the same
+    inputs: states match by value and observables by identity, and both are
+    immutable. The amplitude bytes join the key because state equality takes
+    -0.0 == 0.0, and the sign of a zero amplitude can reach a result."""
+    return _selection_memo(pre, post, a, pre.vector.tobytes(), post.vector.tobytes())
+
+
+@lru_cache(maxsize=_SELECTION_MEMO_SIZE)
+def _selection_memo(pre: SystemState, post: SystemState, a: Observable,
+                    _pre_bytes: bytes, _post_bytes: bytes) -> _Selection:
+    return _Selection(pre, post, a)
+
+
+def _eigen_amplitudes(state: SystemState, a: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues a_j of `a` and the amplitudes <a_j|state>."""
+    check_basis(state.labels, a.labels)
+    vals, vecs = a.eigenbasis
+    return vals, state.vector if vecs is None else vecs.conj().T @ state.vector
+
+
 def weak_value(pre: SystemState, post: SystemState, a: Observable) -> complex:
     """<post|A|pre> / <post|pre>; complex and unbounded by the spectrum."""
-    denom = inner(post, pre)
-    if abs(denom) <= DEFAULT_OVERLAP_FLOOR:
-        raise OrthogonalSelection(f"|<post|pre>| = {abs(denom):.3e} at or below "
-                                  f"floor {DEFAULT_OVERLAP_FLOOR:.3e}")
-    numer = complex(np.vdot(post.vector, apply(a, pre)))
-    return numer / denom
+    return _selection(pre, post, a).weak_value
 
 
 def branch_weights(pre: SystemState, post: SystemState | None,
                    a: Observable) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues a_j of `a` and the pointer weight of each branch:
     conj(<a_j|post>) <a_j|pre> after post-selecting `post`, or the Born
-    weights |<a_j|pre>|^2 when `post` is None. The kicks are g * eps * a_j."""
-    vals, vecs = a.eigenbasis
-
-    def amplitudes(state: SystemState) -> np.ndarray:
-        check_basis(state.labels, a.labels)
-        return state.vector if vecs is None else vecs.conj().T @ state.vector
-
-    c = amplitudes(pre)
-    if post is None:
-        return vals, c.real ** 2 + c.imag ** 2
-    return vals, np.conj(amplitudes(post)) * c
+    weights |<a_j|pre>|^2 when `post` is None. The kicks are g * eps * a_j.
+    The eigenvalues, and the weights after post-selection, are shared
+    between calls and read-only."""
+    if post is not None:
+        return _selection(pre, post, a).branches
+    vals, c = _eigen_amplitudes(pre, a)
+    return vals, c.real ** 2 + c.imag ** 2
 
 
 def weakness(kicks, weights, delta):
@@ -100,7 +137,8 @@ def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
     has moved O(eps) away from where it started, so the observable acts on the
     probe like the single number Re(A_w).
     """
-    aw = weak_value(pre, post, a).real
-    vals, w = branch_weights(pre, post, a)
+    s = _selection(pre, post, a)
+    aw = s.weak_value.real
+    vals, w = s.branches
     kick = cfg.g * cfg.epsilon
     return ShiftCheck(kick * aw, float(pointer.angle(kick * (vals - aw), w, cfg.delta)))

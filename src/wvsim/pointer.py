@@ -24,16 +24,17 @@ def _form(a, m, b):
 
 
 def _gram_exponent(x):
-    """(x_j - x_k)^2 / 8 for x = u / D, so that S_jk = <G_{u_j}|G_{u_k}> is
-    exp(-that) and S - 1 is expm1(-that)."""
+    """-(x_j - x_k)^2 / 8 for x = u / D, so that S_jk = <G_{u_j}|G_{u_k}> is
+    exp(that) and S - 1 is expm1(that). The sign rides on the exact division,
+    which saves the callers a pass that negates the d x d result."""
     d = x[..., :, None] - x[..., None, :]
-    return d * d / 8.0
+    return d * d / -8.0
 
 
 def norm_sq(kicks, weights, delta):
     """||sum_j w_j G_{u_j}||^2 = |sum_j w_j|^2 + w^H (S - 1) w."""
     x = np.asarray(kicks, dtype=float) / delta
-    s_minus_1 = np.expm1(-_gram_exponent(x))
+    s_minus_1 = np.expm1(_gram_exponent(x))
     return np.abs(np.sum(weights, axis=-1)) ** 2 + _form(weights, s_minus_1, weights)
 
 
@@ -48,9 +49,9 @@ def angle(kicks, weights, delta):
     factor overflows for kicks far outside the pointer.
     """
     x = np.asarray(kicks, dtype=float) / delta
-    e = np.exp(-(x * x) / 8.0)
+    e = np.exp(x * x / -8.0)
     t = x[..., :, None] * x[..., None, :] / 4.0
-    scale = np.where(t >= 0.0, -np.exp(-_gram_exponent(x)), e[..., :, None] * e[..., None, :])
+    scale = np.where(t >= 0.0, -np.exp(_gram_exponent(x)), e[..., :, None] * e[..., None, :])
     sin_sq = _form(weights, scale * np.expm1(-np.abs(t)), weights)
     return np.arctan2(np.sqrt(np.maximum(sin_sq, 0.0)), np.abs(np.sum(weights * e, axis=-1)))
 
@@ -71,5 +72,5 @@ def mean_position(kicks, weights, delta):
     x = np.asarray(kicks, dtype=float) / delta
     wx = weights * x
     num = ((np.conj(np.sum(wx, axis=-1)) * np.sum(weights, axis=-1)).real
-           + _form(wx, np.expm1(-_gram_exponent(x)), weights))
+           + _form(wx, np.expm1(_gram_exponent(x)), weights))
     return delta * num / norm_sq(kicks, weights, delta)

@@ -27,9 +27,12 @@ class SystemState:
     labels: tuple[int, ...]
     amplitudes: tuple[complex, ...]
 
-    @property
+    @cached_property
     def vector(self) -> np.ndarray:
-        return np.asarray(self.amplitudes, dtype=complex)
+        """The amplitudes as a complex array; computed once, read-only."""
+        vec = np.asarray(self.amplitudes, dtype=complex)
+        vec.flags.writeable = False
+        return vec
 
     def amplitude(self, label: int) -> complex:
         return self.amplitudes[self.labels.index(label)]
@@ -37,7 +40,12 @@ class SystemState:
 
 @dataclass(frozen=True, eq=False)
 class Observable:
-    """Hermitian operator on the same ordered basis as the states."""
+    """Hermitian operator on the same ordered basis as the states.
+
+    A matrix within HERMITICITY_TOL * max|A| of Hermitian is accepted and
+    replaced by its Hermitian part m/2 + m^H/2, so the stored matrix is
+    exactly Hermitian; an exactly Hermitian matrix is stored as given.
+    """
 
     labels: tuple[int, ...]
     matrix: np.ndarray
@@ -55,8 +63,12 @@ class Observable:
         if not np.isfinite(m).all():
             i, j = np.argwhere(~np.isfinite(m))[0]
             raise InvalidData(f"matrix entry ({labels[i]}, {labels[j]}) is not finite: {m[i, j]}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
+        herm = m.conj().T
+        residue = np.max(np.abs(m - herm))
+        if residue > HERMITICITY_TOL * np.max(np.abs(m)):
             raise InvalidData("matrix is not equal to its conjugate transpose")
+        if residue:
+            m = m * 0.5 + herm * 0.5  # halved first, so no entry can overflow
         m.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matrix", m)
@@ -74,10 +86,11 @@ class Observable:
     def eigenbasis(self) -> tuple[np.ndarray, np.ndarray | None]:
         """Eigenvalues and, if the matrix is not diagonal, its eigenvectors as
         columns; None means the label basis already diagonalizes it. Computed
-        once per observable; both arrays are read-only."""
+        once per observable; both arrays are read-only. Off-diagonal entries
+        within DIAGONAL_TOL * max|A| of zero count as zero."""
         m = self.matrix
         off = m - np.diag(np.diagonal(m))
-        if np.max(np.abs(off)) <= DIAGONAL_TOL:
+        if np.max(np.abs(off)) <= DIAGONAL_TOL * np.max(np.abs(m)):
             vals, vecs = np.real(np.diagonal(m)).copy(), None
         else:
             vals, vecs = np.linalg.eigh(m)
@@ -140,9 +153,6 @@ def apply(observable: Observable, state: SystemState) -> np.ndarray:
 
 
 def expectation(observable: Observable, state: SystemState) -> float:
-    """<psi|A|psi>; real for Hermitian A up to rounding, which grows with the
-    size of A's entries."""
-    val = complex(np.vdot(state.vector, apply(observable, state)))
-    assert abs(val.imag) <= 1e-12 * np.max(np.abs(observable.matrix)), \
-        "expectation value drifted off the real axis"
-    return val.real
+    """<psi|A|psi>, real because the stored A is exactly Hermitian; the
+    imaginary part the sum leaves is rounding only and is dropped."""
+    return complex(np.vdot(state.vector, apply(observable, state))).real

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,8 +49,7 @@ class ScenarioSpec:
         object.__setattr__(self, "epsilon_grid", grid)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     epsilon: float
     d_eigen: float
     d_weak_vs_eigen: float
@@ -59,15 +58,13 @@ class ComparisonRow:
     weakness: float
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(NamedTuple):
     exponent: float
     coefficient: float
     residual: float
 
 
-@dataclass(frozen=True)
-class AmplificationRow:
+class AmplificationRow(NamedTuple):
     tan_half_alpha: float
     mean_shift_over_g_eps: float
     postselect_probability: float
@@ -161,8 +158,8 @@ def run_comparison(specs: Iterable[ScenarioSpec],
             np.minimum(pointer.norm_sq(kick * vals, w, delta), 1.0),
             weakness(kick * vals, w, delta),
         )
-    return [ComparisonRow(eps, *row)
-            for eps, row in zip(weak.epsilon_grid, np.transpose(columns).tolist())]
+    return list(map(ComparisonRow._make,
+                    zip(weak.epsilon_grid, *(c.tolist() for c in columns))))
 
 
 @contextmanager
@@ -183,13 +180,16 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
     The residual is the maximum absolute log-space deviation and is always
     reported alongside the fit.
     """
-    pts = [(float(e), float(d)) for e, d in points]
+    pts = np.array([*points], dtype=float)
     if len(pts) < 4:
         raise InvalidData(f"need at least 4 points for a fit, got {len(pts)}")
-    if any(e <= 0 or d <= 0 for e, d in pts):
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise InvalidData("power-law fit needs (abscissa, distance) pairs")
+    if not np.isfinite(pts).all():
+        raise InvalidData("power-law fit needs finite abscissae and distances")
+    if not (pts > 0).all():
         raise InvalidData("power-law fit needs strictly positive abscissae and distances")
-    log_e = np.log([e for e, _ in pts])
-    log_d = np.log([d for _, d in pts])
+    log_e, log_d = np.log(pts).T
     slope, intercept = np.polyfit(log_e, log_d, 1)
     residual = float(np.max(np.abs(log_d - (slope * log_e + intercept))))
     return PowerLawFit(exponent=float(slope), coefficient=math.exp(float(intercept)),
@@ -218,5 +218,6 @@ def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> list[Am
         prob = np.minimum(pointer.norm_sq(kick * vals, w, cfg.delta), 1.0)
         shift = pointer.mean_position(kick * vals, w, cfg.delta) / kick
     weak = (metric <= WEAKNESS_THRESHOLD) & (np.abs(prob - p0) / p0 <= WEAKNESS_THRESHOLD)
-    return [AmplificationRow(math.tan(alpha / 2), *row) for alpha, row in
-            zip(alphas, zip(shift.tolist(), prob.tolist(), metric.tolist(), weak.tolist()))]
+    return list(map(AmplificationRow._make,
+                    zip((math.tan(alpha / 2) for alpha in alphas), shift.tolist(),
+                        prob.tolist(), metric.tolist(), weak.tolist())))

@@ -13,8 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wvsim.cli import main, parse_amplitude, parse_grid_spec, parse_state_spec
+from wvsim.cli import (
+    AMPLIFY_COLUMNS,
+    COMPARE_COLUMNS,
+    main,
+    parse_amplitude,
+    parse_grid_spec,
+    parse_state_spec,
+)
 from wvsim.errors import InvalidData
+from wvsim.scenarios import AmplificationRow, ComparisonRow
 
 COMPARE_HEADER = "epsilon,d_eigen,d_weak_vs_eigen,d_expect_vs_eigen,p_postselect,weakness"
 AMPLIFY_HEADER = "tan_half_alpha,mean_shift_over_g_eps,p_postselect,weak_flag"
@@ -203,6 +211,15 @@ class TestCompareCommand:
         assert code == 2
         assert out == ""
         assert "epsilon grid must be strictly increasing" in err
+
+    def test_row_fields_follow_the_printed_columns(self):
+        # `compare` prints tuple(row), so the fields must be in column order
+        field = {"p_postselect": "postselect_probability", "weak_flag": "weak"}
+        assert [field.get(c, c) for c in COMPARE_COLUMNS] == list(ComparisonRow._fields)
+        amplify = [field.get(c, c) for c in AMPLIFY_COLUMNS]
+        assert [f for f in AmplificationRow._fields if f in amplify] == amplify
+        assert COMPARE_HEADER.split(",") == list(COMPARE_COLUMNS)
+        assert AMPLIFY_HEADER.split(",") == list(AMPLIFY_COLUMNS)
 
     def test_out_file_lf_endings(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"

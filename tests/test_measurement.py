@@ -1,10 +1,12 @@
 """Measurement protocol: branch weights, post-selection, weak values, weakness."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from wvsim import measurement
 from wvsim.errors import InvalidData, OrthogonalSelection
 from wvsim.measurement import (
     CouplingConfig,
@@ -14,7 +16,8 @@ from wvsim.measurement import (
     weakness_metric,
 )
 from wvsim.pointer import angle, mean_position, mixture_angle, norm_sq
-from wvsim.qstate import Observable, expectation, inner, make_state
+from wvsim.qstate import Observable, SystemState, expectation, inner, make_state
+from wvsim.scenarios import ScenarioSpec, run_comparison
 
 A3 = Observable.diagonal((-1, 0, 1))
 PRE3 = make_state([(-1, 1), (0, 1), (1, 0)])
@@ -280,6 +283,80 @@ class TestEffectiveShiftCheck:
             moved = angle(*pointer(PRE3, POST3, A3, cfg(eps)), 1.0)
             ratios.append(check.distance / moved)
         assert ratios[1] < 0.2 * ratios[0]
+
+
+def _dense_selection(seed, d):
+    """Seeded non-diagonal Hermitian observable of dimension d with complex
+    pre- and post-selections."""
+    rng = np.random.default_rng(seed)
+    labels = tuple(range(d))
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a = Observable(labels, (x + x.conj().T) / 2)
+    pre, post = (make_state(zip(labels, rng.normal(size=d) + 1j * rng.normal(size=d)))
+                 for _ in range(2))
+    return pre, post, a
+
+
+def _selection_outputs(pre, post, a):
+    vals, w = branch_weights(pre, post, a)
+    checks = [effective_shift_check(pre, post, a, cfg(eps)) for eps in (1e-4, 1e-2, 0.3)]
+    return (weak_value(pre, post, a), vals.tobytes(), w.tobytes(), checks,
+            weakness_metric(pre, post, a, cfg(1e-3)))
+
+
+class TestSelectionMemo:
+    def test_shift_distance_equals_comparison_column_bitwise(self):
+        pre, post, a = _dense_selection(21, 6)
+        aw = weak_value(pre, post, a).real
+        # an expectation partner with the same target value, as run_comparison needs
+        partner = Observable(a.labels, a.matrix + (aw - expectation(a, pre)) * np.eye(6))
+        grid = tuple(np.geomspace(1e-4, 1e-1, 25).tolist())
+        c = cfg(grid[0], g=1.3, delta=0.7)
+        rows = run_comparison([ScenarioSpec("weak", pre, a, c, post, grid),
+                               ScenarioSpec("expect", pre, partner, c)], grid)
+        distances = [effective_shift_check(pre, post, a, replace(c, epsilon=eps)).distance
+                     for eps in grid]
+        assert distances == [r.d_weak_vs_eigen for r in rows]
+
+    def test_memoised_results_equal_a_fresh_computation(self):
+        pre, post, a = _dense_selection(22, 5)
+        measurement._selection_memo.cache_clear()
+        first = _selection_outputs(pre, post, a)
+        assert measurement._selection_memo.cache_info().misses == 1
+        # a state rebuilt with the same amplitudes finds the same entry
+        again = _selection_outputs(SystemState(pre.labels, pre.amplitudes), post, a)
+        assert measurement._selection_memo.cache_info().misses == 1
+        measurement._selection_memo.cache_clear()
+        assert _selection_outputs(pre, post, a) == first == again
+
+    def test_zero_sign_keeps_its_own_entry(self):
+        # equal states whose zero amplitudes differ in sign give weights whose
+        # zeros differ in sign too
+        a = Observable.diagonal((0, 1), [0.0, 1.0])
+        post = SystemState((0, 1), (1 + 0j, 0j))
+        plus, minus = (SystemState((0, 1), (1 + 0j, complex(0.0, z))) for z in (0.0, -0.0))
+        assert plus == minus
+        measurement._selection_memo.cache_clear()
+        signs = [np.signbit(branch_weights(s, post, a)[1].imag).tolist() for s in (plus, minus)]
+        assert signs == [[False, False], [False, True]]
+
+    def test_shared_arrays_are_read_only(self):
+        pre, post, a = _dense_selection(23, 4)
+        vals, w = branch_weights(pre, post, a)
+        assert branch_weights(pre, post, a)[1] is w
+        assert pre.vector is pre.vector
+        for shared in (vals, w, pre.vector):
+            with pytest.raises(ValueError):
+                shared[0] = 5.0
+
+    def test_orthogonal_selection_raises_on_every_call(self):
+        pre = make_state([(0, 1), (1, 1)])
+        post = make_state([(0, 1), (1, -1)])
+        ident = Observable.diagonal((0, 1), [1.0, 1.0])
+        for _ in range(2):
+            with pytest.raises(OrthogonalSelection, match="at or below floor"):
+                weak_value(pre, post, ident)
+        np.testing.assert_allclose(branch_weights(pre, post, ident)[1], [0.5, -0.5], rtol=1e-15)
 
 
 class TestScalingLaw:

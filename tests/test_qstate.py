@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wvsim.errors import InvalidData
+from wvsim.measurement import branch_weights, weak_value
 from wvsim.qstate import Observable, apply, expectation, inner, make_state, normalize
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -143,6 +144,36 @@ class TestObservable:
     def test_non_hermitian_rejected(self):
         with pytest.raises(InvalidData, match="matrix is not equal to its conjugate transpose"):
             Observable((0, 1), np.array([[0, 1], [0, 0]], dtype=complex))
+        # the tolerance is relative: a small matrix is held to its own scale
+        with pytest.raises(InvalidData, match="matrix is not equal to its conjugate transpose"):
+            Observable((0, 1), [[0, 1e-13], [0, 0]])
+
+    def test_small_off_diagonal_entries_are_not_dropped(self):
+        obs = Observable((0, 1), [[0, 1e-13], [1e-13, 0]])
+        vals, vecs = obs.eigenbasis
+        assert vecs is not None
+        np.testing.assert_allclose(vals, [-1e-13, 1e-13], rtol=1e-15)
+        pre, post = make_state([(0, 1), (1, 0.3)]), make_state([(0, 1), (1, 2j)])
+        vals, w = branch_weights(pre, post, obs)
+        assert weak_value(pre, post, obs) == pytest.approx(np.sum(vals * w) / np.sum(w),
+                                                           rel=1e-14)
+
+    def test_large_hermitian_with_rounding_residue_accepted(self):
+        rng = np.random.default_rng(31)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        spectrum = [1e6, 2e6, -3e6, 5e5]
+        m = u @ np.diag(spectrum) @ u.conj().T
+        assert np.max(np.abs(m - m.conj().T)) > 1e-12
+        obs = Observable((0, 1, 2, 3), m)
+        # stored as its Hermitian part, which is exactly Hermitian
+        np.testing.assert_array_equal(obs.matrix, obs.matrix.conj().T)
+        np.testing.assert_allclose(obs.matrix, m, rtol=0, atol=1e-15 * 3e6)
+        np.testing.assert_allclose(obs.eigenbasis[0], sorted(spectrum), rtol=1e-12)
+        assert isinstance(expectation(obs, make_state([(0, 1), (1, 0), (2, 1j), (3, 0)])), float)
+
+    def test_exactly_hermitian_matrix_stored_as_given(self):
+        m = np.array([[-0.0, 1 - 2j], [1 + 2j, 3e300]])
+        assert Observable((0, 1), m).matrix.tobytes() == m.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
     def test_non_finite_entry_rejected(self, bad):

@@ -179,6 +179,26 @@ class TestFitPowerLaw:
         with pytest.raises(InvalidData, match="needs strictly positive abscissae and distances"):
             fit_power_law([(1e-3, 1.0), (2e-3, 0.0), (4e-3, 1.0), (8e-3, 1.0)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_point_rejected(self, bad):
+        for point in ((2e-3, bad), (bad, 1.0)):
+            with pytest.raises(InvalidData, match="needs finite abscissae and distances"):
+                fit_power_law([(1e-3, 1.0), point, (3e-3, 3.0), (4e-3, 4.0)])
+
+    def test_fit_equals_per_point_reference_bitwise(self):
+        rng = np.random.default_rng(17)
+        for n in range(4, 40):
+            eps = np.sort(10.0 ** rng.uniform(-6, 0, n))
+            d = 10.0 ** rng.uniform(-3, 1) * eps ** rng.uniform(0.5, 3) * np.exp(rng.normal(0, 0.1, n))
+            pts = list(zip(eps.tolist(), d.tolist()))
+            # the fit as one Python pass per point, which the array version replaced
+            log_e = np.log([e for e, _ in pts])
+            log_d = np.log([v for _, v in pts])
+            slope, intercept = np.polyfit(log_e, log_d, 1)
+            residual = float(np.max(np.abs(log_d - (slope * log_e + intercept))))
+            expected = (float(slope), math.exp(float(intercept)), residual)
+            assert tuple(fit_power_law(pts)) == expected
+
     def test_too_few_points_rejected(self):
         with pytest.raises(InvalidData, match="need at least 4 points for a fit, got 2"):
             fit_power_law([(1e-3, 1e-3), (1e-2, 1e-2)])
