@@ -202,9 +202,8 @@ def cmd_compare(args: argparse.Namespace, config: dict) -> int:
                                           else DEFAULT_GRID_SPEC)
         echo = f"eps-grid={canonical}"
     cfg = CouplingConfig(g=g, epsilon=grid[0], delta=delta)
-    rows = scenarios.run_comparison(
-        [scenarios.weak_value_one_scenario(cfg), scenarios.expectation_scenario(cfg)],
-        grid)
+    rows = scenarios.run_comparison([scenarios.weak_value_one_scenario(cfg, grid),
+                                     scenarios.expectation_scenario(cfg, grid)])
     cells = [tuple(map(fmt, r)) for r in rows]
     trailers = []
     if len(rows) >= 4:

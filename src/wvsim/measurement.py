@@ -121,14 +121,6 @@ def weakness(kicks, weights, delta):
     return np.abs(np.sum(weights * np.expm1(-(x * x) / 8.0), axis=-1)) / base
 
 
-def weakness_metric(pre: SystemState, post: SystemState, a: Observable,
-                    cfg: CouplingConfig) -> float:
-    """`weakness` of the pointer that coupling `a` with `cfg` leaves after
-    pre-selecting `pre` and post-selecting `post`."""
-    vals, w = branch_weights(pre, post, a)
-    return float(weakness(cfg.g * cfg.epsilon * vals, w, cfg.delta))
-
-
 def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
                           cfg: CouplingConfig) -> ShiftCheck:
     """Compare the conditioned pointer against a rigid shift by g*eps*Re(A_w).

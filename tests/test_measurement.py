@@ -13,7 +13,7 @@ from wvsim.measurement import (
     branch_weights,
     effective_shift_check,
     weak_value,
-    weakness_metric,
+    weakness,
 )
 from wvsim.pointer import angle, mean_position, mixture_angle, norm_sq
 from wvsim.qstate import Observable, SystemState, expectation, inner, make_state
@@ -36,6 +36,10 @@ def pointer(pre, post, a, c):
 
 def probability(pre, post, a, c):
     return norm_sq(*pointer(pre, post, a, c), c.delta)
+
+
+def weakness_of(pre, post, a, c):
+    return float(weakness(*pointer(pre, post, a, c), c.delta))
 
 
 class TestWeakValue:
@@ -157,7 +161,7 @@ class TestPostSelect:
         for eps in (1e-3, 0.01, 10.0):
             assert probability(pre, post, ident, cfg(eps)) == 0.0
         with pytest.raises(OrthogonalSelection, match="pre- and post-selection are orthogonal"):
-            weakness_metric(pre, post, ident, cfg())
+            weakness_of(pre, post, ident, cfg())
 
     def test_orthogonal_selection_with_distinct_shifts_still_possible(self):
         pre = make_state([(-1, 1), (0, 0), (1, 1)])
@@ -221,22 +225,22 @@ class TestNoPostselectMixture:
 
 class TestWeaknessMetric:
     def test_vanishes_with_the_coupling(self):
-        assert weakness_metric(PRE3, POST3, A3, cfg(1e-12)) < 1e-12
+        assert weakness_of(PRE3, POST3, A3, cfg(1e-12)) < 1e-12
 
     def test_weak_regime_value(self):
         # hand value: 1 - exp(-(g eps)^2 / (8 delta^2))
-        val = weakness_metric(PRE3, POST3, A3, cfg(0.01))
+        val = weakness_of(PRE3, POST3, A3, cfg(0.01))
         assert val == pytest.approx(1 - math.exp(-1.25e-5), rel=1e-9)
         assert val < 1e-3
 
     def test_strong_regime_is_order_one(self):
-        assert weakness_metric(PRE3, POST3, A3, cfg(10.0)) > 0.5
+        assert weakness_of(PRE3, POST3, A3, cfg(10.0)) > 0.5
 
     def test_orthogonal_selection_rejected(self):
         a = make_state([(0, 1), (1, 0)])
         b = make_state([(0, 0), (1, 1)])
         with pytest.raises(OrthogonalSelection, match="pre- and post-selection are orthogonal"):
-            weakness_metric(a, b, Observable.diagonal((0, 1)), cfg())
+            weakness_of(a, b, Observable.diagonal((0, 1)), cfg())
 
     def test_probability_drift_complements_the_metric(self):
         # spin nearly anti-aligned: the coherent scalar product barely moves
@@ -252,7 +256,7 @@ class TestWeaknessMetric:
             return abs(probability(pre, post, sz, c) - p0) / p0
 
         strong = cfg(0.1)
-        assert weakness_metric(pre, post, sz, strong) < 1e-2
+        assert weakness_of(pre, post, sz, strong) < 1e-2
         assert drift(strong) > 1.0
         assert drift(cfg(1e-4)) < 1e-3
 
@@ -301,7 +305,7 @@ def _selection_outputs(pre, post, a):
     vals, w = branch_weights(pre, post, a)
     checks = [effective_shift_check(pre, post, a, cfg(eps)) for eps in (1e-4, 1e-2, 0.3)]
     return (weak_value(pre, post, a), vals.tobytes(), w.tobytes(), checks,
-            weakness_metric(pre, post, a, cfg(1e-3)))
+            weakness_of(pre, post, a, cfg(1e-3)))
 
 
 class TestSelectionMemo:
@@ -313,7 +317,7 @@ class TestSelectionMemo:
         grid = tuple(np.geomspace(1e-4, 1e-1, 25).tolist())
         c = cfg(grid[0], g=1.3, delta=0.7)
         rows = run_comparison([ScenarioSpec("weak", pre, a, c, post, grid),
-                               ScenarioSpec("expect", pre, partner, c)], grid)
+                               ScenarioSpec("expect", pre, partner, c, None, grid)])
         distances = [effective_shift_check(pre, post, a, replace(c, epsilon=eps)).distance
                      for eps in grid]
         assert distances == [r.d_weak_vs_eigen for r in rows]

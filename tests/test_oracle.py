@@ -69,7 +69,8 @@ def test_weak_vs_eigen_angle_down_to_eps_1e_6(sweep):
 
 def test_weakness_is_expm1_exactly():
     cfg = CouplingConfig(1.0, 1e-3, 1.0)
-    (row,) = run_comparison([weak_value_one_scenario(cfg), expectation_scenario(cfg)], [1e-3])
+    (row,) = run_comparison([weak_value_one_scenario(cfg, [1e-3]),
+                             expectation_scenario(cfg, [1e-3])])
     assert row.weakness == -math.expm1(-1e-6 / 8)
     assert f"{row.weakness:.12g}" == "1.24999992188e-07"
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wvsim import pointer, qstate, scenarios
+from wvsim import cli, pointer, qstate, scenarios
 from wvsim.errors import InvalidData
 from wvsim.measurement import CouplingConfig, branch_weights, weak_value, weakness
 from wvsim.qstate import expectation, inner
@@ -85,8 +85,8 @@ class TestExpectationScenario:
 
 class TestRunComparison:
     def test_single_epsilon_row_values(self):
-        rows = run_comparison([weak_value_one_scenario(CFG), expectation_scenario(CFG)],
-                              [0.01])
+        rows = run_comparison([weak_value_one_scenario(CFG, [0.01]),
+                               expectation_scenario(CFG, [0.01])])
         (row,) = rows
         assert row.d_eigen == pytest.approx(0.005, rel=0.01)
         assert row.d_weak_vs_eigen == pytest.approx(3.54e-5, rel=0.05)
@@ -94,8 +94,9 @@ class TestRunComparison:
         assert row.postselect_probability == pytest.approx(0.1, abs=1e-3)
 
     def test_halving_epsilon_halves_and_quarters(self):
-        rows = run_comparison([weak_value_one_scenario(CFG), expectation_scenario(CFG)],
-                              [0.005, 0.01])
+        grid = [0.005, 0.01]
+        rows = run_comparison([weak_value_one_scenario(CFG, grid),
+                               expectation_scenario(CFG, grid)])
         half, full = rows
         assert half.d_eigen == pytest.approx(full.d_eigen / 2, rel=0.01)
         assert half.d_weak_vs_eigen == pytest.approx(full.d_weak_vs_eigen / 4, rel=0.02)
@@ -122,15 +123,35 @@ class TestRunComparison:
 
     def test_requires_shared_coupling(self):
         other = CouplingConfig(g=2.0, epsilon=0.01, delta=1.0)
-        with pytest.raises(InvalidData, match="scenarios must share g and delta"):
+        with pytest.raises(InvalidData,
+                           match="^scenarios must share g, delta and the epsilon grid$"):
             run_comparison([weak_value_one_scenario(CFG), expectation_scenario(other)])
 
+    def test_requires_shared_grid(self):
+        # the expectation scenario's grid is compared, not ignored
+        for weak_grid, expect_grid in (([0.01], [0.02]), ([0.01], [0.01, 0.02]),
+                                       (DEFAULT_EPSILON_GRID, [0.01])):
+            with pytest.raises(InvalidData,
+                               match="^scenarios must share g, delta and the epsilon grid$"):
+                run_comparison([weak_value_one_scenario(CFG, weak_grid),
+                                expectation_scenario(CFG, expect_grid)])
+
+    def test_explicit_grid_replaces_both_scenario_grids(self):
+        # the second argument the benchmark's --smoke self-check passes
+        mismatched = [weak_value_one_scenario(CFG), expectation_scenario(CFG, [0.02])]
+        assert run_comparison(mismatched, [0.01]) == run_comparison(
+            [weak_value_one_scenario(CFG, [0.01]), expectation_scenario(CFG, [0.01])])
+
     def test_explicit_grid_is_validated_like_the_spec_grid(self):
-        specs = [weak_value_one_scenario(CFG), expectation_scenario(CFG)]
-        with pytest.raises(InvalidData, match="strictly increasing"):
-            run_comparison(specs, [0.01, 0.01])
-        with pytest.raises(InvalidData, match="strictly positive"):
-            run_comparison(specs, [0.0, 0.01])
+        def explicit(cfg, grid):
+            return run_comparison([weak_value_one_scenario(cfg), expectation_scenario(cfg)],
+                                  grid)
+
+        for make in (weak_value_one_scenario, expectation_scenario, explicit):
+            with pytest.raises(InvalidData, match="strictly increasing"):
+                make(CFG, [0.01, 0.01])
+            with pytest.raises(InvalidData, match="strictly positive"):
+                make(CFG, [0.0, 0.01])
 
 
 class TestScenarioSpec:
@@ -150,6 +171,21 @@ class TestScenarioSpec:
         spec = weak_value_one_scenario(CFG)
         with pytest.raises(InvalidData, match="epsilon grid must be strictly increasing"):
             replace(spec, epsilon_grid=(0.01, 0.01))
+
+    @pytest.mark.parametrize("make", [weak_value_one_scenario, expectation_scenario])
+    def test_empty_grid_rejected_not_defaulted(self, make):
+        for empty in ([], (), np.array([])):
+            with pytest.raises(InvalidData, match="^epsilon grid is empty$"):
+                make(CFG, empty)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_grid_value_rejected(self, bad):
+        for grid in ((bad,), (1e-3, bad), (1e-3, bad, 1e-2)):
+            with pytest.raises(InvalidData, match="must be strictly positive and finite"):
+                weak_value_one_scenario(CFG, grid)
+
+    def test_cli_default_grid_spec_builds_the_default_grid(self):
+        assert cli.parse_grid_spec(cli.DEFAULT_GRID_SPEC)[0] == DEFAULT_EPSILON_GRID
 
 
 class TestFitPowerLaw:
@@ -198,6 +234,10 @@ class TestFitPowerLaw:
             residual = float(np.max(np.abs(log_d - (slope * log_e + intercept))))
             expected = (float(slope), math.exp(float(intercept)), residual)
             assert tuple(fit_power_law(pts)) == expected
+
+    def test_equal_abscissae_rejected(self):
+        with pytest.raises(InvalidData, match="needs at least two distinct abscissae"):
+            fit_power_law([(1e-3, 1.0), (1e-3, 2.0), (1e-3, 3.0), (1e-3, 4.0)])
 
     def test_too_few_points_rejected(self):
         with pytest.raises(InvalidData, match="need at least 4 points for a fit, got 2"):
