@@ -11,9 +11,11 @@ values enter), or the Born weights |<a_j|pre>|^2 of a mixture without it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,8 +44,12 @@ class CouplingConfig:
 
 
 class ShiftCheck(NamedTuple):
-    ideal: float      # centre g*eps*Re(A_w) of the rigidly shifted Gaussian
-    distance: float   # Bures angle from the conditioned pointer to it
+    """`ideal` is the centre g*eps*Re(A_w) of the rigidly shifted Gaussian;
+    `distance` is the Bures angle from the conditioned pointer to it, which
+    is the `d_weak_vs_eigen` angle that `run_comparison` tabulates."""
+
+    ideal: float
+    distance: float
 
 
 class _Selection:
@@ -121,16 +127,71 @@ def weakness(kicks, weights, delta):
     return np.abs(np.sum(weights * np.expm1(-(x * x) / 8.0), axis=-1)) / base
 
 
+@contextmanager
+def _finite_columns(g: float, epsilon: float, delta: float):
+    """Evaluate pointer columns with overflow and invalid operations raising:
+    either means g*epsilon/delta is out of range, and would print NaN rows."""
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise _out_of_range(g, epsilon, delta) from None
+
+
+def _out_of_range(g: float, epsilon: float, delta: float) -> InvalidData:
+    return InvalidData(f"g*epsilon/delta is out of floating-point range for "
+                       f"g={g}, epsilon={epsilon}, delta={delta}")
+
+
+# (selection, g, delta, grid, angles) of the last `shift_angles` call, which
+# `effective_shift_check` reads instead of recomputing a row of it
+_sweep = None
+
+
+def _angles(s: _Selection, g: float, delta: float, grid: Sequence[float]) -> np.ndarray:
+    vals, w = s.branches
+    aw = s.weak_value.real
+    with _finite_columns(g, grid[-1], delta):
+        return pointer.angle(g * np.array(grid)[:, None] * (vals - aw), w, delta)
+
+
+def shift_angles(pre: SystemState, post: SystemState, a: Observable,
+                 g: float, delta: float, grid: Sequence[float]) -> np.ndarray:
+    """Bures angle between the conditioned pointer and its rigid shift by
+    g*eps*Re(A_w), for each eps of `grid`: the `d_weak_vs_eigen` column, as a
+    read-only array. The last sweep is kept, so that `effective_shift_check`
+    on the same selection, g and delta finds an eps of the grid there; the
+    grid must be strictly increasing for that lookup to find it."""
+    global _sweep
+    s = _selection(pre, post, a)
+    grid = tuple(grid)
+    angles = _angles(s, g, delta, grid)
+    angles.flags.writeable = False
+    _sweep = (s, g, delta, grid, angles)
+    return angles
+
+
 def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
                           cfg: CouplingConfig) -> ShiftCheck:
     """Compare the conditioned pointer against a rigid shift by g*eps*Re(A_w).
 
     In the weak regime the distance between them is O(eps^2) while the pointer
     has moved O(eps) away from where it started, so the observable acts on the
-    probe like the single number Re(A_w).
+    probe like the single number Re(A_w). The distance is the
+    `d_weak_vs_eigen` angle of `shift_angles` at this eps, taken from its last
+    sweep when that covered this selection, g, delta and eps, and computed as
+    one row otherwise (bitwise the same either way).
     """
     s = _selection(pre, post, a)
     aw = s.weak_value.real
-    vals, w = s.branches
-    kick = cfg.g * cfg.epsilon
-    return ShiftCheck(kick * aw, float(pointer.angle(kick * (vals - aw), w, cfg.delta)))
+    g, eps, delta = cfg.g, cfg.epsilon, cfg.delta
+    ideal = g * eps * aw
+    if not math.isfinite(ideal):
+        raise _out_of_range(g, eps, delta)
+    sweep = _sweep
+    if sweep is not None and sweep[0] is s and sweep[1] == g and sweep[2] == delta:
+        grid = sweep[3]
+        i = bisect_left(grid, eps)
+        if i < len(grid) and grid[i] == eps:
+            return ShiftCheck(ideal, float(sweep[4][i]))
+    return ShiftCheck(ideal, float(_angles(s, g, delta, (eps,))[0]))

@@ -13,7 +13,6 @@ while the expectation-value mixture stays O(eps) away.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
 
@@ -21,11 +20,15 @@ import numpy as np
 
 from . import pointer
 from .errors import InvalidData
-from .measurement import CouplingConfig, branch_weights, weak_value, weakness
+from .measurement import (CouplingConfig, _finite_columns, branch_weights, shift_angles,
+                          weak_value, weakness)
 from .qstate import Observable, SystemState, expectation, make_state, normalize
 
 DEFAULT_EPSILON_GRID = tuple(float(e) for e in np.geomspace(1e-3, 1e-2, 8))
 WEAKNESS_THRESHOLD = 1e-2
+# over a narrower spread of log abscissae a fitted slope is the distances'
+# rounding error divided by that spread, not a scaling law
+MIN_LOG_SPREAD = 1e-6
 SPIN_Z = Observable.diagonal((-1, 1))  # shared, so its eigenbasis is computed once
 
 
@@ -157,25 +160,13 @@ def run_comparison(specs: Iterable[ScenarioSpec],
         kick = g * np.array(weak.epsilon_grid)[:, None]
         columns = (
             pointer.angle(kick * a_ref, [1.0], delta),
-            pointer.angle(kick * (vals - a_ref), w, delta),
+            shift_angles(weak.pre, weak.post, weak.observable, g, delta, weak.epsilon_grid),
             pointer.mixture_angle(kick * (vals_x - a_ref), born, delta),
             np.minimum(pointer.norm_sq(kick * vals, w, delta), 1.0),
             weakness(kick * vals, w, delta),
         )
     return list(map(ComparisonRow._make,
                     zip(weak.epsilon_grid, *(c.tolist() for c in columns))))
-
-
-@contextmanager
-def _finite_columns(g: float, epsilon: float, delta: float):
-    """Evaluate pointer columns with overflow and invalid operations raising:
-    either means g*epsilon/delta is out of range, and would print NaN rows."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            yield
-    except FloatingPointError:
-        raise InvalidData(f"g*epsilon/delta is out of floating-point range for "
-                          f"g={g}, epsilon={epsilon}, delta={delta}") from None
 
 
 def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
@@ -194,8 +185,12 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
     if not (pts > 0).all():
         raise InvalidData("power-law fit needs strictly positive abscissae and distances")
     log_e, log_d = np.log(pts).T
-    if np.ptp(log_e) == 0:
+    spread = float(np.ptp(log_e))
+    if spread == 0:
         raise InvalidData("power-law fit needs at least two distinct abscissae")
+    if spread < MIN_LOG_SPREAD:
+        raise InvalidData(f"power-law fit needs abscissae whose logs spread at least "
+                          f"{MIN_LOG_SPREAD:g}, got {spread:.12g}")
     slope, intercept = np.polyfit(log_e, log_d, 1)
     residual = float(np.max(np.abs(log_d - (slope * log_e + intercept))))
     return PowerLawFit(exponent=float(slope), coefficient=math.exp(float(intercept)),

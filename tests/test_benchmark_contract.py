@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from wvsim import scenarios
+from wvsim import pointer, scenarios
 from wvsim.measurement import CouplingConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,3 +64,17 @@ def test_smoke_comparison_with_an_explicit_grid(workloads):
     assert workloads.check_comparison_rows(rows, *specs, [0], digits) == 0
     assert [r.epsilon for r in rows] == [1e-2]
     assert digits["d_eigen"][0] >= 11.0
+
+
+def test_dense_operation_runs_the_shift_kernel_once_per_sweep(workloads, tmp_path, monkeypatch):
+    # two pointer.angle calls per case, both in run_comparison (d_eigen and
+    # d_weak_vs_eigen), and none in the per-eps effective_shift_check calls
+    calls = []
+    angle = pointer.angle
+    monkeypatch.setattr(pointer, "angle", lambda *args: calls.append(1) or angle(*args))
+    wl = workloads.WORKLOADS["dense_observables"](1, tmp_path)
+    wl.prepare()
+    out = wl.op(0)
+    assert len(out) == 7
+    assert sum(len(shifts) for _, shifts in out) == 252
+    assert len(calls) == 14

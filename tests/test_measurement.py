@@ -1,17 +1,22 @@
 """Measurement protocol: branch weights, post-selection, weak values, weakness."""
 
+import contextlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wvsim import measurement
+from wvsim import pointer as kernel
 from wvsim.errors import InvalidData, OrthogonalSelection
 from wvsim.measurement import (
     CouplingConfig,
     branch_weights,
     effective_shift_check,
+    shift_angles,
     weak_value,
     weakness,
 )
@@ -280,6 +285,23 @@ class TestEffectiveShiftCheck:
         check = effective_shift_check(pre, post, Observable.diagonal((-1, 1)), cfg(1e-4))
         assert check.ideal == pytest.approx(100 * 1e-4, rel=1e-9)
 
+    @pytest.mark.parametrize("g, eps, delta", [(1e300, 1e10, 1.0), (1.0, 1e200, 1e-200)])
+    def test_overflowing_coupling_raises(self, g, eps, delta):
+        # with numpy warnings as errors, a NaN distance would fail with a RuntimeWarning
+        with pytest.raises(InvalidData, match=r"g\*epsilon/delta is out of floating-point range"):
+            effective_shift_check(PRE3, POST3, A3, CouplingConfig(g, eps, delta))
+        with pytest.raises(InvalidData, match=r"g\*epsilon/delta is out of floating-point range"):
+            shift_angles(PRE3, POST3, A3, g, delta, (eps,))
+
+    def test_overflowing_ideal_centre_raises(self):
+        # Re(A_w) = 100 and the kicks are g*eps*(a_j - Re(A_w)) = -+g*eps: the
+        # recorded sweep is in range, the centre g*eps*Re(A_w) of the check is not
+        state = make_state([(0, 1), (1, 1)])
+        a = Observable.diagonal((0, 1), [99.0, 101.0])
+        assert shift_angles(state, state, a, 1e307, 1e300, (1.0,)).tolist() == [math.pi / 2]
+        with pytest.raises(InvalidData, match=r"g=1e\+307, epsilon=1.0, delta=1e\+300"):
+            effective_shift_check(state, state, a, CouplingConfig(1e307, 1.0, 1e300))
+
     def test_replacement_quality_scales_one_order_faster(self):
         ratios = []
         for eps in (1e-2, 1e-3):
@@ -308,16 +330,22 @@ def _selection_outputs(pre, post, a):
             weakness_of(pre, post, a, cfg(1e-3)))
 
 
+def _comparison(pre, post, a, c, grid):
+    """`run_comparison` of the selection against an expectation partner with
+    the same target value, as it needs."""
+    d = len(a.labels)
+    aw = weak_value(pre, post, a).real
+    partner = Observable(a.labels, a.matrix + (aw - expectation(a, pre)) * np.eye(d))
+    return run_comparison([ScenarioSpec("weak", pre, a, c, post, grid),
+                           ScenarioSpec("expect", pre, partner, c, None, grid)])
+
+
 class TestSelectionMemo:
     def test_shift_distance_equals_comparison_column_bitwise(self):
         pre, post, a = _dense_selection(21, 6)
-        aw = weak_value(pre, post, a).real
-        # an expectation partner with the same target value, as run_comparison needs
-        partner = Observable(a.labels, a.matrix + (aw - expectation(a, pre)) * np.eye(6))
         grid = tuple(np.geomspace(1e-4, 1e-1, 25).tolist())
         c = cfg(grid[0], g=1.3, delta=0.7)
-        rows = run_comparison([ScenarioSpec("weak", pre, a, c, post, grid),
-                               ScenarioSpec("expect", pre, partner, c, None, grid)])
+        rows = _comparison(pre, post, a, c, grid)
         distances = [effective_shift_check(pre, post, a, replace(c, epsilon=eps)).distance
                      for eps in grid]
         assert distances == [r.d_weak_vs_eigen for r in rows]
@@ -361,6 +389,86 @@ class TestSelectionMemo:
             with pytest.raises(OrthogonalSelection, match="at or below floor"):
                 weak_value(pre, post, ident)
         np.testing.assert_allclose(branch_weights(pre, post, ident)[1], [0.5, -0.5], rtol=1e-15)
+
+
+@contextlib.contextmanager
+def counted_kernel_calls():
+    """The number of `pointer.angle` calls made inside the block, as a list
+    that grows by one per call."""
+    calls, angle = [], kernel.angle
+    kernel.angle = lambda *args: calls.append(1) or angle(*args)
+    try:
+        yield calls
+    finally:
+        kernel.angle = angle
+
+
+def _fresh_check(pre, post, a, c):
+    measurement._sweep = None
+    measurement._selection_memo.cache_clear()
+    return effective_shift_check(pre, post, a, c)
+
+
+class TestShiftSweep:
+    """`effective_shift_check` reads the distance from the last sweep of
+    `shift_angles`, which `run_comparison` makes for its d_weak_vs_eigen
+    column, and computes it afresh otherwise; both give the same bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 8),
+           g=st.floats(1e-2, 1e2), delta=st.floats(1e-2, 1e2),
+           grid=st.lists(st.floats(1e-5, 1e-1), min_size=1, max_size=12,
+                         unique=True).map(sorted),
+           off=st.floats(1e-5, 1e-1), scale=st.floats(1.5, 4.0))
+    def test_checks_on_the_grid_read_the_comparison_column(self, seed, d, g, delta, grid,
+                                                           off, scale):
+        assume(off not in grid)
+        pre, post, a = _dense_selection(seed, d)
+        c = cfg(grid[0], g=g, delta=delta)
+        column = [r.d_weak_vs_eigen for r in _comparison(pre, post, a, c, tuple(grid))]
+        with counted_kernel_calls() as calls:
+            hits = [effective_shift_check(pre, post, a, replace(c, epsilon=e)) for e in grid]
+        assert [h.distance for h in hits] == column
+        assert not calls
+        other = _dense_selection(seed + 1, d)
+        misses = [(pre, post, a, replace(c, epsilon=off)),
+                  (pre, post, a, replace(c, g=g * scale)),
+                  (pre, post, a, replace(c, delta=delta * scale)),
+                  (*other, c)]
+        sweep = measurement._sweep
+        with counted_kernel_calls() as calls:
+            missed = [effective_shift_check(*m) for m in misses]
+        assert len(calls) == len(misses)
+        assert measurement._sweep is sweep
+        # a miss leaves the sweep in place, so a later check on the grid still hits
+        with counted_kernel_calls() as calls:
+            assert effective_shift_check(pre, post, a, replace(c, epsilon=grid[-1])) == hits[-1]
+        assert not calls
+        assert [_fresh_check(*m) for m in misses] == missed
+        assert [_fresh_check(pre, post, a, replace(c, epsilon=e)) for e in grid] == hits
+
+    def test_shift_angles_is_the_comparison_column(self):
+        pre, post, a = _dense_selection(24, 5)
+        grid = tuple(np.geomspace(1e-3, 1e-1, 9).tolist())
+        c = cfg(grid[0], g=0.8, delta=1.7)
+        column = [r.d_weak_vs_eigen for r in _comparison(pre, post, a, c, grid)]
+        angles = shift_angles(pre, post, a, c.g, c.delta, grid)
+        assert angles.tolist() == column
+        with pytest.raises(ValueError):
+            angles[0] = 1.0
+
+    def test_orthogonal_selection_raises_on_the_grid(self):
+        pre, post, a = _dense_selection(25, 3)
+        grid = (1e-3, 1e-2)
+        shift_angles(pre, post, a, 1.0, 1.0, grid)
+        sweep = measurement._sweep
+        up, down = make_state([(0, 1), (1, 0), (2, 0)]), make_state([(0, 0), (1, 1), (2, 0)])
+        for _ in range(2):
+            with pytest.raises(OrthogonalSelection, match="at or below floor"):
+                effective_shift_check(up, down, a, cfg(grid[0]))
+            with pytest.raises(OrthogonalSelection, match="at or below floor"):
+                shift_angles(up, down, a, 1.0, 1.0, grid)
+        assert measurement._sweep is sweep
 
 
 class TestScalingLaw:

@@ -239,6 +239,15 @@ class TestFitPowerLaw:
         with pytest.raises(InvalidData, match="needs at least two distinct abscissae"):
             fit_power_law([(1e-3, 1.0), (1e-3, 2.0), (1e-3, 3.0), (1e-3, 4.0)])
 
+    def test_abscissae_within_rounding_rejected(self):
+        # log eps spreads ~1e-13 here: the slope would be the rounding noise of log d
+        eps = np.linspace(1e-3, 1.0000000000001e-3, 6)
+        assert np.ptp(np.log(eps)) > 0
+        with pytest.raises(InvalidData, match="abscissae whose logs spread at least 1e-06"):
+            fit_power_law(zip(eps.tolist(), (eps ** 2).tolist()))
+        fit = fit_power_law([(e, e ** 2) for e in (1.0, 1.0 + 1e-6, 1.0 + 2e-6, 1.0 + 3e-6)])
+        assert fit.exponent == pytest.approx(2.0, abs=1e-6)
+
     def test_too_few_points_rejected(self):
         with pytest.raises(InvalidData, match="need at least 4 points for a fit, got 2"):
             fit_power_law([(1e-3, 1e-3), (1e-2, 1e-2)])
