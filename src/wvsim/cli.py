@@ -13,6 +13,7 @@ import argparse
 import cmath
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -90,7 +91,8 @@ def parse_observable_spec(spec: str, labels: tuple[int, ...]) -> Observable:
 
 def parse_grid_spec(text: str) -> tuple[tuple[float, ...], str]:
     """Grid grammar `lo:hi:n:log|lin`; returns the grid and a canonical echo."""
-    parts = str(text).strip().split(":")
+    spec = str(text).strip()
+    parts = spec.split(":")
     if len(parts) != 4:
         raise InvalidData(f"epsilon grid spec must be lo:hi:n:log|lin, got {text!r}")
     try:
@@ -103,7 +105,15 @@ def parse_grid_spec(text: str) -> tuple[tuple[float, ...], str]:
     if not 0 < lo < hi < math.inf or n < 2:
         raise InvalidData("epsilon grid needs finite 0 < lo < hi and n >= 2")
     grid = np.geomspace(lo, hi, n) if kind == "log" else np.linspace(lo, hi, n)
-    return tuple(float(e) for e in grid), f"{fmt(lo)}:{fmt(hi)}:{n}:{kind}"
+    grid = tuple(float(e) for e in grid)
+    # rows that print the same epsilon would be indistinguishable; a grid that
+    # is not strictly increasing is left to ScenarioSpec, which says so
+    texts = [fmt(e) for e in grid]
+    repeated = [a for a, b in zip(texts, texts[1:]) if a == b]
+    if repeated and all(map(operator.lt, grid, grid[1:])):
+        raise InvalidData(f"epsilon grid {spec!r} has neighbouring points "
+                          f"that both print as {repeated[0]}")
+    return grid, f"{fmt(lo)}:{fmt(hi)}:{n}:{kind}"
 
 
 def load_config(path: str, command: str) -> dict:

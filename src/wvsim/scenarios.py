@@ -13,7 +13,10 @@ while the expectation-value mixture stays O(eps) away.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -29,7 +32,14 @@ WEAKNESS_THRESHOLD = 1e-2
 # over a narrower spread of log abscissae a fitted slope is the distances'
 # rounding error divided by that spread, not a scaling law
 MIN_LOG_SPREAD = 1e-6
-SPIN_Z = Observable.diagonal((-1, 1))  # shared, so its eigenbasis is computed once
+# The canonical selections are shared, so their eigenbases are computed once
+# and repeated comparisons find the memoised selection of `measurement`.
+SPIN_Z = Observable.diagonal((-1, 1))
+WEAK_ONE_PRE = make_state([(-1, 1.0), (0, 1.0), (1, 0.0)])
+WEAK_ONE_POST = make_state([(-1, 1.0), (0, -2.0), (1, 0.0)])
+WEAK_ONE_OBSERVABLE = Observable.diagonal((-1, 0, 1))
+EXPECT_ONE_PRE = make_state([(0, 1.0), (1, 0.0), (2, 1.0)])
+EXPECT_ONE_OBSERVABLE = Observable.diagonal((0, 1, 2))
 
 
 @dataclass(frozen=True)
@@ -49,7 +59,7 @@ class ScenarioSpec:
             raise InvalidData("epsilon grid is empty")
         if not (all(map(math.isfinite, grid)) and min(grid) > 0):
             raise InvalidData("epsilon grid values must be strictly positive and finite")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        if not all(map(operator.lt, grid, grid[1:])):
             raise InvalidData("epsilon grid must be strictly increasing")
         object.__setattr__(self, "epsilon_grid", grid)
 
@@ -61,6 +71,11 @@ class ComparisonRow(NamedTuple):
     d_expect_vs_eigen: float
     postselect_probability: float
     weakness: float
+
+
+# a row straight from its six column values, with no Python frame per row
+# (ComparisonRow._make also re-checks the length, which zip fixes here)
+_comparison_row = partial(tuple.__new__, ComparisonRow)
 
 
 class PowerLawFit(NamedTuple):
@@ -108,10 +123,8 @@ def weak_value_one_scenario(cfg: CouplingConfig,
                             epsilon_grid: Sequence[float] = DEFAULT_EPSILON_GRID) -> ScenarioSpec:
     """Three-level system with weak value 1 while pre- and post-selection both
     leave the eigenvalue-1 state unpopulated."""
-    pre = make_state([(-1, 1.0), (0, 1.0), (1, 0.0)])
-    post = make_state([(-1, 1.0), (0, -2.0), (1, 0.0)])
-    return ScenarioSpec("weak_value_one", pre, Observable.diagonal((-1, 0, 1)), cfg,
-                        post, epsilon_grid)
+    return ScenarioSpec("weak_value_one", WEAK_ONE_PRE, WEAK_ONE_OBSERVABLE, cfg,
+                        WEAK_ONE_POST, epsilon_grid)
 
 
 def expectation_scenario(cfg: CouplingConfig,
@@ -119,8 +132,7 @@ def expectation_scenario(cfg: CouplingConfig,
     """Pre-selected-only superposition (|0> + |2>)/sqrt(2) with expectation
     value 1, which is not an eigenstate; without post-selection the pointer
     ends in an equal mixture of Gaussians shifted by 0 and 2 g eps."""
-    pre = make_state([(0, 1.0), (1, 0.0), (2, 1.0)])
-    return ScenarioSpec("expectation_one", pre, Observable.diagonal((0, 1, 2)), cfg,
+    return ScenarioSpec("expectation_one", EXPECT_ONE_PRE, EXPECT_ONE_OBSERVABLE, cfg,
                         None, epsilon_grid)
 
 
@@ -165,8 +177,7 @@ def run_comparison(specs: Iterable[ScenarioSpec],
             np.minimum(pointer.norm_sq(kick * vals, w, delta), 1.0),
             weakness(kick * vals, w, delta),
         )
-    return list(map(ComparisonRow._make,
-                    zip(weak.epsilon_grid, *(c.tolist() for c in columns))))
+    return list(map(_comparison_row, zip(weak.epsilon_grid, *(c.tolist() for c in columns))))
 
 
 def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
@@ -175,11 +186,17 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
     The residual is the maximum absolute log-space deviation and is always
     reported alongside the fit.
     """
-    pts = np.array([*points], dtype=float)
-    if len(pts) < 4:
-        raise InvalidData(f"need at least 4 points for a fit, got {len(pts)}")
-    if pts.ndim != 2 or pts.shape[1] != 2:
+    points = list(points)
+    n = len(points)
+    if n < 4:
+        raise InvalidData(f"need at least 4 points for a fit, got {n}")
+    try:
+        lengths = set(map(len, points))
+    except TypeError:  # a point with no length, such as a bare number
+        lengths = None
+    if lengths != {2}:
         raise InvalidData("power-law fit needs (abscissa, distance) pairs")
+    pts = np.fromiter(chain.from_iterable(points), float, 2 * n).reshape(n, 2)
     if not np.isfinite(pts).all():
         raise InvalidData("power-law fit needs finite abscissae and distances")
     if not (pts > 0).all():

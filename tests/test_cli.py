@@ -115,9 +115,12 @@ class TestWeakValueCommand:
          "wvsim: error: projector label 5 not in basis (0, 1)\n"),
         ("compare --eps-grid 1:1.0000000000000002:5:lin", 2,
          "wvsim: error: epsilon grid must be strictly increasing\n"),
-        ("compare --eps-grid 1e-3:1.0000000000001e-3:6:lin", 2,
+        ("compare --eps-grid 1e-3:1.00000001e-3:6:lin", 2,
          "wvsim: error: power-law fit needs abscissae whose logs spread at least 1e-06, "
-         "got 9.94759830064e-14\n"),
+         "got 9.99999993923e-09\n"),
+        ("compare --eps-grid 1e-3:1.0000000000001e-3:3:lin", 2,
+         "wvsim: error: epsilon grid '1e-3:1.0000000000001e-3:3:lin' has neighbouring points "
+         "that both print as 0.001\n"),
         ("weak-value --pre=0:1,1:0 --post=0:0,1:1 --obs diag", 3,
          "wvsim: |<post|pre>| = 0.000e+00 at or below floor 1.000e-12\n"),
         ("amplify --alpha-tan 1e13 --eps 1e-12", 3,

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wvsim import cli, pointer, qstate, scenarios
+from wvsim import cli, measurement, pointer, qstate, scenarios
 from wvsim.errors import InvalidData
 from wvsim.measurement import CouplingConfig, branch_weights, weak_value, weakness
 from wvsim.qstate import expectation, inner
@@ -81,6 +81,35 @@ class TestExpectationScenario:
         assert expectation(spec.observable, spec.pre) == pytest.approx(1.0, abs=1e-14)
         assert spec.pre.amplitude(1) == 0
         assert spec.post is None
+
+
+class TestCanonicalScenarios:
+    @pytest.mark.parametrize("make", [weak_value_one_scenario, expectation_scenario])
+    def test_constructors_share_their_selection(self, make):
+        first, second = make(CFG), make(CouplingConfig(2.0, 0.02, 3.0), [0.02])
+        assert first.pre is second.pre
+        assert first.post is second.post
+        assert first.observable is second.observable
+
+    def test_repeated_comparison_builds_no_state_or_selection(self, monkeypatch):
+        def specs():
+            return [weak_value_one_scenario(CFG), expectation_scenario(CFG)]
+
+        built = []
+
+        def recorded(init):
+            def wrapper(self, *args, **kwargs):
+                built.append(type(self).__name__)
+                init(self, *args, **kwargs)
+            return wrapper
+
+        run_comparison(specs())
+        for cls in (qstate.SystemState, qstate.Observable):
+            monkeypatch.setattr(cls, "__init__", recorded(cls.__init__))
+        misses = measurement._selection_memo.cache_info().misses
+        run_comparison(specs())
+        assert measurement._selection_memo.cache_info().misses == misses
+        assert built == []
 
 
 class TestRunComparison:
@@ -251,6 +280,37 @@ class TestFitPowerLaw:
     def test_too_few_points_rejected(self):
         with pytest.raises(InvalidData, match="need at least 4 points for a fit, got 2"):
             fit_power_law([(1e-3, 1e-3), (1e-2, 1e-2)])
+        # counted before the points are checked to be pairs
+        for short in ([(1e-3, 1.0), (2e-3, 2.0, 9.0), (3e-3, 3.0)], [1, 2, 3], iter([])):
+            with pytest.raises(InvalidData, match="need at least 4 points for a fit"):
+                fit_power_law(short)
+
+    @pytest.mark.parametrize("points", [
+        [(1e-3, 1.0), (2e-3, 2.0, 9.0), (3e-3, 3.0), (4e-3, 4.0)],
+        [(1e-3, 1.0), (2e-3,), (3e-3, 3.0), (4e-3, 4.0)],
+        [(1e-3, 1.0, 5.0), (2e-3,), (3e-3, 3.0), (4e-3, 4.0)],
+        [(e, e, e) for e in (1e-3, 2e-3, 3e-3, 4e-3)],
+        [1, 2, 3, 4],
+        [(1e-3, 1.0), 2.0, (3e-3, 3.0), (4e-3, 4.0)],
+        np.ones((4, 3)),
+        np.ones(4),
+    ], ids=["ragged-long", "ragged-short", "ragged-both", "triples", "scalars",
+            "one-scalar", "array-n-3", "array-1d"])
+    def test_non_pair_points_rejected(self, points):
+        with pytest.raises(InvalidData, match=r"^power-law fit needs \(abscissa, distance\) pairs$"):
+            fit_power_law(points)
+
+    def test_fit_is_the_same_for_every_input_type(self):
+        eps = np.geomspace(1e-3, 1e-1, 13)
+        d = 0.3 * eps ** 1.7 * (1 + 0.01 * np.sin(40 * eps))
+        pts = list(zip(eps.tolist(), d.tolist()))
+        expected = fit_power_law(pts)
+        for points in (zip(eps.tolist(), d.tolist()),
+                       ((e, v) for e, v in pts),
+                       [(np.float64(e), np.float64(v)) for e, v in pts],
+                       np.column_stack([eps, d])):
+            got = fit_power_law(points)
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
 
 
 class TestAmplificationSweep:
