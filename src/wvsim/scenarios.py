@@ -208,10 +208,14 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
     if spread < MIN_LOG_SPREAD:
         raise InvalidData(f"power-law fit needs abscissae whose logs spread at least "
                           f"{MIN_LOG_SPREAD:g}, got {spread:.12g}")
-    slope, intercept = np.polyfit(log_e, log_d, 1)
-    residual = float(np.max(np.abs(log_d - (slope * log_e + intercept))))
-    return PowerLawFit(exponent=float(slope), coefficient=math.exp(float(intercept)),
-                       residual=residual)
+    # the least-squares line in closed form, from the centred points; the
+    # intercept averages log d - slope log eps over the points, which rounds
+    # less than mean(log d) - slope mean(log eps) at eps far below 1
+    de, dd = log_e - log_e.mean(), log_d - log_d.mean()
+    slope = float(de @ dd / (de @ de))
+    intercept = float(np.mean(log_d - slope * log_e))
+    residual = float(np.max(np.abs(dd - slope * de)))
+    return PowerLawFit(exponent=slope, coefficient=math.exp(intercept), residual=residual)
 
 
 def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> list[AmplificationRow]:

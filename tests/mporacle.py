@@ -5,7 +5,8 @@ closed forms of the Gaussian pointer algebra, starting from the exact binary
 floats the program received (state amplitudes, observable diagonal, g, delta,
 eps), so a difference between the program and the oracle is the program's own
 rounding error. It imports nothing from wvsim and handles diagonal observables
-only, which is what the canonical scenarios use.
+only, which is what the canonical scenarios use, and fits power laws by
+exact least squares.
 """
 
 from __future__ import annotations
@@ -67,6 +68,22 @@ def mean_shift(pre, post, diagonal, g, delta, eps):
                              * _overlap(x[j], x[k], delta)
                              for j in range(n) for k in range(n))) / norm_sq
         return mean / (g * eps)
+
+
+def power_law_fit(points):
+    """(exponent, coefficient, residual) of the least-squares line through
+    (log eps, log d) for the exact logs of the given float points; the
+    residual is the largest absolute log-space deviation from that line."""
+    with mp.workdps(ORACLE_DPS):
+        log_e = [mp.log(mp.mpf(e)) for e, _ in points]
+        log_d = [mp.log(mp.mpf(d)) for _, d in points]
+        n = len(log_e)
+        mean_e, mean_d = mp.fsum(log_e) / n, mp.fsum(log_d) / n
+        slope = (mp.fsum((a - mean_e) * (b - mean_d) for a, b in zip(log_e, log_d))
+                 / mp.fsum((a - mean_e) ** 2 for a in log_e))
+        intercept = mean_d - slope * mean_e
+        residual = max(abs(b - (slope * a + intercept)) for a, b in zip(log_e, log_d))
+        return slope, mp.exp(intercept), residual
 
 
 def rel_error(value, exact) -> float:

@@ -21,7 +21,7 @@ PERFBENCH = ROOT / "perfbench"
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 MIN_DIGITS_BOUND = next(m["bound"] for m in END_TO_END if m["name"] == "min_digits")
 SEED_1_DIGITS = {
-    "compare_sweep": {"d_eigen": 15.629, "d_weak_vs_eigen": 8.749,
+    "compare_sweep": {"d_eigen": 15.629, "d_weak_vs_eigen": 14.988,
                       "d_expect_vs_eigen": 15.584, "p_postselect": 15.367},
     "amplify_table": {"mean_shift": 11.433, "p_postselect": 11.043},
     "dense_observables": {"d_eigen": 15.526, "d_weak_vs_eigen": 14.548,

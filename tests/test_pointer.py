@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gridoracle import grid_cos_angle, grid_inner, grid_overlap, to_grid
+from wvsim import pointer
 from wvsim.errors import InvalidData
 from wvsim.measurement import CouplingConfig
 from wvsim.pointer import angle, mean_position, mixture_angle, norm_sq
@@ -158,6 +159,68 @@ class TestBroadcasting:
         rows = mixture_angle(kicks, probs, 0.7)
         for k, p, row in zip(kicks, probs, rows):
             assert row == mixture_angle(k, p, 0.7)
+
+
+def gram_angle_reference(kicks, weights, delta):
+    """`angle` as the quadratic form w^H C w alone, which is how every
+    pointer was evaluated before the weak-regime series."""
+    x = np.asarray(kicks, dtype=float) / delta
+    e = np.exp(x * x / -8.0)
+    t = x[..., :, None] * x[..., None, :] / 4.0
+    d = x[..., :, None] - x[..., None, :]
+    scale = np.where(t >= 0.0, -np.exp(d * d / -8.0), e[..., :, None] * e[..., None, :])
+    c = scale * np.expm1(-np.abs(t))
+    sin_sq = np.einsum("...j,...jk,...k->...", np.conj(weights), c, weights).real
+    return np.arctan2(np.sqrt(np.maximum(sin_sq, 0.0)), np.abs(np.sum(weights * e, axis=-1)))
+
+
+def at_series_edge(direction):
+    """Kicks in the proportions 1 : -0.6 : 0.3 whose largest is the last
+    float inside the series domain, or the first one past it."""
+    t_max = pointer._SERIES_T_MAX
+    u = 2.0 * math.sqrt(t_max)
+    while (u * 0.5) ** 2 > t_max:
+        u = np.nextafter(u, 0.0)
+    while (np.nextafter(u, 3.0) * 0.5) ** 2 <= t_max:
+        u = np.nextafter(u, 3.0)
+    if direction > 0:
+        u = np.nextafter(u, 3.0)
+    return u * np.array([1.0, -0.6, 0.3])
+
+
+class TestWeakRegimeSeries:
+    def test_rows_straddling_the_switch_match_single_evaluations(self):
+        rng = np.random.default_rng(8)
+        delta = 0.7
+        edge = 2.0 * math.sqrt(pointer._SERIES_T_MAX) * delta
+        scales = np.concatenate([np.geomspace(1e-8, 3.0, 13),
+                                 edge * np.array([1 - 1e-15, 1.0, 1 + 1e-15])])
+        for d in (2, 3, 5, 16):
+            base = rng.uniform(-1.0, 1.0, d)
+            kicks = scales[:, None] * (base / np.max(np.abs(base)))
+            for weights in (rng.normal(size=d) + 1j * rng.normal(size=d),
+                            rng.normal(size=(len(scales), d)) + 1j * rng.normal(size=(len(scales), d))):
+                rows = angle(kicks, weights, delta)
+                assert rows.shape == (len(scales),)
+                for r, row in enumerate(rows):
+                    assert row == angle(kicks[r], weights if weights.ndim == 1 else weights[r], delta)
+
+    def test_series_and_quadratic_form_agree_at_the_switch(self):
+        # complex weights, whose sine leads with a first moment that does not
+        # cancel, so that the quadratic form is accurate at the switch too
+        rng = np.random.default_rng(9)
+        inside, outside = at_series_edge(-1), at_series_edge(+1)
+        for _ in range(50):
+            weights = rng.normal(size=3) + 1j * rng.normal(size=3)
+            series = angle(inside, weights, 1.0)
+            assert abs(series - gram_angle_reference(inside, weights, 1.0)) <= 1e-14 * series
+            assert angle(outside, weights, 1.0) == gram_angle_reference(outside, weights, 1.0)
+
+    def test_one_kick_pointers_keep_the_quadratic_form(self):
+        kicks = np.geomspace(1e-9, 40.0, 50)[:, None] * np.array([[1.0], [-1.0]])[:, :, None]
+        for weights in ([1.0], [0.3 - 0.7j]):
+            assert np.array_equal(angle(kicks, weights, 1.3),
+                                  gram_angle_reference(kicks, weights, 1.3))
 
 
 class TestGridOracle:

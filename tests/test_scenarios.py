@@ -256,12 +256,15 @@ class TestFitPowerLaw:
             eps = np.sort(10.0 ** rng.uniform(-6, 0, n))
             d = 10.0 ** rng.uniform(-3, 1) * eps ** rng.uniform(0.5, 3) * np.exp(rng.normal(0, 0.1, n))
             pts = list(zip(eps.tolist(), d.tolist()))
-            # the fit as one Python pass per point, which the array version replaced
+            # the centred closed-form line with its inputs built one Python pass
+            # per point, which the array version replaced
             log_e = np.log([e for e, _ in pts])
             log_d = np.log([v for _, v in pts])
-            slope, intercept = np.polyfit(log_e, log_d, 1)
-            residual = float(np.max(np.abs(log_d - (slope * log_e + intercept))))
-            expected = (float(slope), math.exp(float(intercept)), residual)
+            de, dd = log_e - np.mean(log_e), log_d - np.mean(log_d)
+            slope = float(np.dot(de, dd) / np.dot(de, de))
+            intercept = float(np.mean(log_d - slope * log_e))
+            residual = float(np.max(np.abs(dd - slope * de)))
+            expected = (slope, math.exp(intercept), residual)
             assert tuple(fit_power_law(pts)) == expected
 
     def test_equal_abscissae_rejected(self):
