@@ -107,7 +107,8 @@ def parse_grid_spec(text: str) -> tuple[tuple[float, ...], str]:
     grid = np.geomspace(lo, hi, n) if kind == "log" else np.linspace(lo, hi, n)
     grid = tuple(float(e) for e in grid)
     # rows that print the same epsilon would be indistinguishable; a grid that
-    # is not strictly increasing is left to ScenarioSpec, which says so
+    # is not strictly increasing is left to the grid check of
+    # scenarios.run_comparison, which says so
     texts = [fmt(e) for e in grid]
     repeated = [a for a, b in zip(texts, texts[1:]) if a == b]
     if repeated and all(map(operator.lt, grid, grid[1:])):
@@ -217,8 +218,9 @@ def cmd_compare(args: argparse.Namespace, config: dict) -> int:
     cells = [tuple(map(fmt, r)) for r in rows]
     trailers = []
     if len(rows) >= 4:
-        for name in ("d_eigen", "d_weak_vs_eigen", "d_expect_vs_eigen"):
-            fit = scenarios.fit_power_law([(r.epsilon, getattr(r, name)) for r in rows])
+        eps, *columns = zip(*rows)
+        for name, column in zip(("d_eigen", "d_weak_vs_eigen", "d_expect_vs_eigen"), columns):
+            fit = scenarios.fit_power_law(zip(eps, column))
             trailers.append(f"# fit {name}: exponent={fmt(fit.exponent)} "
                             f"coefficient={fmt(fit.coefficient)} residual={fmt(fit.residual)}")
     comment = f"# wvsim compare g={fmt(g)} delta={fmt(delta)} {echo}"

@@ -11,10 +11,10 @@ values enter), or the Born weights |<a_j|pre>|^2 of a mixture without it.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from .errors import InvalidData, OrthogonalSelection
 from .qstate import Observable, SystemState, apply, check_basis, inner
 
 DEFAULT_OVERLAP_FLOOR = 1e-12
-_SELECTION_MEMO_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -52,43 +51,6 @@ class ShiftCheck(NamedTuple):
     distance: float
 
 
-class _Selection:
-    """The quantities of one (pre, post, A) selection, each computed on first
-    use. A failed computation raises again on every use, as it is not cached."""
-
-    def __init__(self, pre: SystemState, post: SystemState, a: Observable):
-        self.pre, self.post, self.a = pre, post, a
-
-    @cached_property
-    def weak_value(self) -> complex:
-        denom = inner(self.post, self.pre)
-        if abs(denom) <= DEFAULT_OVERLAP_FLOOR:
-            raise OrthogonalSelection(f"|<post|pre>| = {abs(denom):.3e} at or below "
-                                      f"floor {DEFAULT_OVERLAP_FLOOR:.3e}")
-        return complex(np.vdot(self.post.vector, apply(self.a, self.pre))) / denom
-
-    @cached_property
-    def branches(self) -> tuple[np.ndarray, np.ndarray]:
-        vals, c = _eigen_amplitudes(self.pre, self.a)
-        w = np.conj(_eigen_amplitudes(self.post, self.a)[1]) * c
-        w.flags.writeable = False
-        return vals, w
-
-
-def _selection(pre: SystemState, post: SystemState, a: Observable) -> _Selection:
-    """The `_Selection` of (pre, post, a), shared by every call with the same
-    inputs: states match by value and observables by identity, and both are
-    immutable. The amplitude bytes join the key because state equality takes
-    -0.0 == 0.0, and the sign of a zero amplitude can reach a result."""
-    return _selection_memo(pre, post, a, pre.vector.tobytes(), post.vector.tobytes())
-
-
-@lru_cache(maxsize=_SELECTION_MEMO_SIZE)
-def _selection_memo(pre: SystemState, post: SystemState, a: Observable,
-                    _pre_bytes: bytes, _post_bytes: bytes) -> _Selection:
-    return _Selection(pre, post, a)
-
-
 def _eigen_amplitudes(state: SystemState, a: Observable) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues a_j of `a` and the amplitudes <a_j|state>."""
     check_basis(state.labels, a.labels)
@@ -98,7 +60,11 @@ def _eigen_amplitudes(state: SystemState, a: Observable) -> tuple[np.ndarray, np
 
 def weak_value(pre: SystemState, post: SystemState, a: Observable) -> complex:
     """<post|A|pre> / <post|pre>; complex and unbounded by the spectrum."""
-    return _selection(pre, post, a).weak_value
+    denom = inner(post, pre)
+    if abs(denom) <= DEFAULT_OVERLAP_FLOOR:
+        raise OrthogonalSelection(f"|<post|pre>| = {abs(denom):.3e} at or below "
+                                  f"floor {DEFAULT_OVERLAP_FLOOR:.3e}")
+    return complex(np.vdot(post.vector, apply(a, pre))) / denom
 
 
 def branch_weights(pre: SystemState, post: SystemState | None,
@@ -106,11 +72,10 @@ def branch_weights(pre: SystemState, post: SystemState | None,
     """Eigenvalues a_j of `a` and the pointer weight of each branch:
     conj(<a_j|post>) <a_j|pre> after post-selecting `post`, or the Born
     weights |<a_j|pre>|^2 when `post` is None. The kicks are g * eps * a_j.
-    The eigenvalues, and the weights after post-selection, are shared
-    between calls and read-only."""
-    if post is not None:
-        return _selection(pre, post, a).branches
+    The eigenvalues are shared between calls and read-only."""
     vals, c = _eigen_amplitudes(pre, a)
+    if post is not None:
+        return vals, np.conj(_eigen_amplitudes(post, a)[1]) * c
     return vals, c.real ** 2 + c.imag ** 2
 
 
@@ -143,14 +108,22 @@ def _out_of_range(g: float, epsilon: float, delta: float) -> InvalidData:
                        f"g={g}, epsilon={epsilon}, delta={delta}")
 
 
-# (selection, g, delta, grid, angles) of the last `shift_angles` call, which
-# `effective_shift_check` reads instead of recomputing a row of it
+def _check_smallest_kick(g: float, epsilon: float, delta: float, floor: float) -> None:
+    """Reject a smallest kick whose columns would print digits that underflow
+    made wrong: g*epsilon must be a normal float and g*epsilon/delta at least
+    `floor`, the least ratio at which the caller's columns keep 12 digits."""
+    kick = g * epsilon
+    if not (kick >= sys.float_info.min and kick / delta >= floor):
+        raise _out_of_range(g, epsilon, delta)
+
+
+# (pre, post, A, g, delta, Re(A_w), grid, angles) of the last `shift_angles`
+# call, which `effective_shift_check` reads instead of recomputing a row of it;
+# the selection matches by identity, so only the very objects swept hit
 _sweep = None
 
 
-def _angles(s: _Selection, g: float, delta: float, grid: Sequence[float]) -> np.ndarray:
-    vals, w = s.branches
-    aw = s.weak_value.real
+def _angles(vals, w, aw: float, g: float, delta: float, grid: Sequence[float]) -> np.ndarray:
     with _finite_columns(g, grid[-1], delta):
         return pointer.angle(g * np.array(grid)[:, None] * (vals - aw), w, delta)
 
@@ -160,14 +133,15 @@ def shift_angles(pre: SystemState, post: SystemState, a: Observable,
     """Bures angle between the conditioned pointer and its rigid shift by
     g*eps*Re(A_w), for each eps of `grid`: the `d_weak_vs_eigen` column, as a
     read-only array. The last sweep is kept, so that `effective_shift_check`
-    on the same selection, g and delta finds an eps of the grid there; the
-    grid must be strictly increasing for that lookup to find it."""
+    on the same pre, post and A objects, g and delta finds an eps of the grid
+    there; the grid must be strictly increasing for that lookup to find it."""
     global _sweep
-    s = _selection(pre, post, a)
+    vals, w = branch_weights(pre, post, a)
+    aw = weak_value(pre, post, a).real
     grid = tuple(grid)
-    angles = _angles(s, g, delta, grid)
+    angles = _angles(vals, w, aw, g, delta, grid)
     angles.flags.writeable = False
-    _sweep = (s, g, delta, grid, angles)
+    _sweep = (pre, post, a, g, delta, aw, grid, angles)
     return angles
 
 
@@ -179,19 +153,21 @@ def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
     has moved O(eps) away from where it started, so the observable acts on the
     probe like the single number Re(A_w). The distance is the
     `d_weak_vs_eigen` angle of `shift_angles` at this eps, taken from its last
-    sweep when that covered this selection, g, delta and eps, and computed as
-    one row otherwise (bitwise the same either way).
+    sweep when that covered these pre, post and A objects, g, delta and eps,
+    and computed as one row otherwise (bitwise the same either way).
     """
-    s = _selection(pre, post, a)
-    aw = s.weak_value.real
     g, eps, delta = cfg.g, cfg.epsilon, cfg.delta
+    sweep = _sweep
+    hit = (sweep is not None and sweep[0] is pre and sweep[1] is post and sweep[2] is a
+           and sweep[3] == g and sweep[4] == delta)
+    aw = sweep[5] if hit else weak_value(pre, post, a).real
     ideal = g * eps * aw
     if not math.isfinite(ideal):
         raise _out_of_range(g, eps, delta)
-    sweep = _sweep
-    if sweep is not None and sweep[0] is s and sweep[1] == g and sweep[2] == delta:
-        grid = sweep[3]
+    if hit:
+        grid = sweep[6]
         i = bisect_left(grid, eps)
         if i < len(grid) and grid[i] == eps:
-            return ShiftCheck(ideal, float(sweep[4][i]))
-    return ShiftCheck(ideal, float(_angles(s, g, delta, (eps,))[0]))
+            return ShiftCheck(ideal, float(sweep[7][i]))
+    vals, w = branch_weights(pre, post, a)
+    return ShiftCheck(ideal, float(_angles(vals, w, aw, g, delta, (eps,))[0]))

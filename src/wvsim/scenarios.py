@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
@@ -23,8 +24,8 @@ import numpy as np
 
 from . import pointer
 from .errors import InvalidData
-from .measurement import (CouplingConfig, _finite_columns, branch_weights, shift_angles,
-                          weak_value, weakness)
+from .measurement import (CouplingConfig, _check_smallest_kick, _finite_columns,
+                          branch_weights, shift_angles, weak_value, weakness)
 from .qstate import Observable, SystemState, expectation, make_state, normalize
 
 DEFAULT_EPSILON_GRID = tuple(float(e) for e in np.geomspace(1e-3, 1e-2, 8))
@@ -32,8 +33,14 @@ WEAKNESS_THRESHOLD = 1e-2
 # over a narrower spread of log abscissae a fitted slope is the distances'
 # rounding error divided by that spread, not a scaling law
 MIN_LOG_SPREAD = 1e-6
-# The canonical selections are shared, so their eigenbases are computed once
-# and repeated comparisons find the memoised selection of `measurement`.
+# The smallest g*eps/delta at which every printed column still matches the
+# oracle of tests/mporacle.py to 12 digits (tests/test_oracle.py); below it
+# underflow leaves digits wrong. In a comparison the sine squared of
+# d_weak_vs_eigen, ~(g eps/delta)^4 / 8, turns subnormal first; in the
+# amplification table the kicks over delta must themselves be normal floats.
+COMPARISON_MIN_KICK = 1e-77
+AMPLIFICATION_MIN_KICK = sys.float_info.min
+# The canonical selections are shared, so their eigenbases are computed once.
 SPIN_Z = Observable.diagonal((-1, 1))
 WEAK_ONE_PRE = make_state([(-1, 1.0), (0, 1.0), (1, 0.0)])
 WEAK_ONE_POST = make_state([(-1, 1.0), (0, -2.0), (1, 0.0)])
@@ -44,24 +51,28 @@ EXPECT_ONE_OBSERVABLE = Observable.diagonal((0, 1, 2))
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A named pre/post-selection experiment plus its sweep grid."""
+    """A named pre/post-selection experiment plus its sweep grid, which
+    `run_comparison` checks when it sweeps it."""
 
     name: str
     pre: SystemState
     observable: Observable
     cfg: CouplingConfig
     post: SystemState | None = None
-    epsilon_grid: tuple[float, ...] = DEFAULT_EPSILON_GRID
+    epsilon_grid: Sequence[float] = DEFAULT_EPSILON_GRID
 
-    def __post_init__(self):
-        grid = tuple(map(float, self.epsilon_grid))
-        if not grid:
-            raise InvalidData("epsilon grid is empty")
-        if not (all(map(math.isfinite, grid)) and min(grid) > 0):
-            raise InvalidData("epsilon grid values must be strictly positive and finite")
-        if not all(map(operator.lt, grid, grid[1:])):
-            raise InvalidData("epsilon grid must be strictly increasing")
-        object.__setattr__(self, "epsilon_grid", grid)
+
+def _checked_grid(grid: Iterable[float]) -> tuple[float, ...]:
+    """`grid` as a tuple of floats, which must be non-empty, positive, finite
+    and strictly increasing."""
+    grid = tuple(map(float, grid))
+    if not grid:
+        raise InvalidData("epsilon grid is empty")
+    if not (all(map(math.isfinite, grid)) and min(grid) > 0):
+        raise InvalidData("epsilon grid values must be strictly positive and finite")
+    if not all(map(operator.lt, grid, grid[1:])):
+        raise InvalidData("epsilon grid must be strictly increasing")
+    return grid
 
 
 class ComparisonRow(NamedTuple):
@@ -145,20 +156,21 @@ def run_comparison(specs: Iterable[ScenarioSpec],
     eigenvalue reference pointer for each epsilon is the initial Gaussian
     rigidly shifted by g * eps * a, with a the common target value (the weak
     value of the first scenario, which must match the expectation value of
-    the second). A given `epsilon_grid` replaces the grid of both scenarios;
-    it is kept only because the benchmark's `--smoke` self-check in
-    `perfbench/run.py` passes one, and goes when that call does.
+    the second). A given `epsilon_grid` is swept in place of the scenarios'
+    grids; it is kept only because the benchmark's `--smoke` self-check in
+    `perfbench/run.py` passes one, and goes when that call does. The grid
+    swept is checked here, once.
     """
     specs = list(specs)
-    if epsilon_grid is not None:
-        specs = [replace(s, epsilon_grid=epsilon_grid) for s in specs]
     selected = [s for s in specs if s.post is not None]
     unselected = [s for s in specs if s.post is None]
     if len(selected) != 1 or len(unselected) != 1:
         raise InvalidData("need exactly one post-selected and one pre-selected-only scenario")
     weak, expect = selected[0], unselected[0]
-    if ((weak.cfg.g, weak.cfg.delta, weak.epsilon_grid)
-            != (expect.cfg.g, expect.cfg.delta, expect.epsilon_grid)):
+    grid = _checked_grid(weak.epsilon_grid if epsilon_grid is None else epsilon_grid)
+    if ((weak.cfg.g, weak.cfg.delta) != (expect.cfg.g, expect.cfg.delta)
+            or (epsilon_grid is None and expect.epsilon_grid is not weak.epsilon_grid
+                and tuple(map(float, expect.epsilon_grid)) != grid)):
         raise InvalidData("scenarios must share g, delta and the epsilon grid")
     a_ref = weak_value(weak.pre, weak.post, weak.observable).real
     a_exp = expectation(expect.observable, expect.pre)
@@ -168,16 +180,17 @@ def run_comparison(specs: Iterable[ScenarioSpec],
     vals, w = branch_weights(weak.pre, weak.post, weak.observable)
     vals_x, born = branch_weights(expect.pre, None, expect.observable)
     g, delta = weak.cfg.g, weak.cfg.delta
-    with _finite_columns(g, weak.epsilon_grid[-1], delta):
-        kick = g * np.array(weak.epsilon_grid)[:, None]
+    _check_smallest_kick(g, grid[0], delta, COMPARISON_MIN_KICK)
+    with _finite_columns(g, grid[-1], delta):
+        kick = g * np.array(grid)[:, None]
         columns = (
             pointer.angle(kick * a_ref, [1.0], delta),
-            shift_angles(weak.pre, weak.post, weak.observable, g, delta, weak.epsilon_grid),
+            shift_angles(weak.pre, weak.post, weak.observable, g, delta, grid),
             pointer.mixture_angle(kick * (vals_x - a_ref), born, delta),
             np.minimum(pointer.norm_sq(kick * vals, w, delta), 1.0),
             weakness(kick * vals, w, delta),
         )
-    return list(map(_comparison_row, zip(weak.epsilon_grid, *(c.tolist() for c in columns))))
+    return list(map(_comparison_row, zip(grid, *(c.tolist() for c in columns))))
 
 
 def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
@@ -234,6 +247,7 @@ def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> list[Am
     # sigma_z is diagonal on the labels, so the amplitudes are the branch ones
     vals, w = SPIN_Z.eigenbasis[0], np.conj(post) * pre
     p0 = np.abs(np.sum(w, axis=-1)) ** 2
+    _check_smallest_kick(cfg.g, cfg.epsilon, cfg.delta, AMPLIFICATION_MIN_KICK)
     with _finite_columns(cfg.g, cfg.epsilon, cfg.delta):
         kick = np.float64(cfg.g) * cfg.epsilon
         metric = weakness(kick * vals, w, cfg.delta)

@@ -6,14 +6,24 @@ floats the program received (state amplitudes, observable diagonal, g, delta,
 eps), so a difference between the program and the oracle is the program's own
 rounding error. It imports nothing from wvsim and handles diagonal observables
 only, which is what the canonical scenarios use, and fits power laws by
-exact least squares.
+exact least squares. Comparison rows get more digits the smaller the kick
+g*eps/delta, since their angles are arccosines of numbers within about the
+kick's fourth power of 1.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
 
 ORACLE_DPS = 60
+
+
+def _comparison_dps(g, delta, eps) -> int:
+    """ORACLE_DPS plus four digits per decade that g*eps/delta lies below 1."""
+    decades = math.log10(delta) - math.log10(g) - math.log10(eps)
+    return ORACLE_DPS + 4 * max(0, math.ceil(decades))
 
 
 def _vec(amplitudes) -> list:
@@ -40,7 +50,7 @@ def _pointer(pre, post, diagonal, g, delta, eps):
 def comparison_row(pre, post, diagonal, pre_x, diagonal_x, g, delta, eps) -> dict:
     """The five numeric columns of one `run_comparison` row; the eigenvalue
     pointer is the initial Gaussian shifted by g*eps*Re(A_w)."""
-    with mp.workdps(ORACLE_DPS):
+    with mp.workdps(_comparison_dps(g, delta, eps)):
         g, delta, eps = mp.mpf(g), mp.mpf(delta), mp.mpf(eps)
         x, w, norm_sq = _pointer(pre, post, diagonal, g, delta, eps)
         total = mp.fsum(w)

@@ -3,11 +3,14 @@
 One operation of each in-process workload runs at seed 1 and is checked by
 the workload's own oracle check. Every check must pass, and each quantity must
 keep its oracle digits to within the `min_digits` bound of `BENCHMARK.json`
-(0.2 digits) of its recorded seed-1 value. `perfbench/` is only read: no
-bytecode is written there.
+(0.2 digits) of its recorded seed-1 value. The traced run's coverage pass
+finds every name the benchmark probes, apart from a fixed list of stale ones.
+`perfbench/` is only read: no bytecode is written there.
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,6 +30,11 @@ SEED_1_DIGITS = {
     "dense_observables": {"d_eigen": 15.526, "d_weak_vs_eigen": 14.548,
                           "d_expect_vs_eigen": 15.119, "p_postselect": 14.38},
 }
+# names in perfbench/probes.py's LAYERS that no wvsim module defines any more
+STALE_PROBES = ["measurement.couple", "measurement.post_select",
+                "measurement.no_postselect_mixture", "measurement.weakness_metric",
+                "measurement.postselect_probability_drift", "pointer.bures_pure",
+                "pointer.bures_mixed", "pointer.normalize_terms"]
 
 
 @pytest.fixture(scope="module")
@@ -78,3 +86,15 @@ def test_dense_operation_runs_the_shift_kernel_once_per_sweep(workloads, tmp_pat
     assert len(out) == 7
     assert sum(len(shifts) for _, shifts in out) == 252
     assert len(calls) == 14
+
+
+def test_coverage_pass_finds_every_probe_but_the_stale_ones(tmp_path):
+    # in a child process, because importing perfbench/run.py pins its process
+    # to one CPU and sets the BLAS thread variables
+    code = ("import json, sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
+            "import run; print(json.dumps(run.coverage_pass(1, Path(sys.argv[2])).absent))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    child = subprocess.run([sys.executable, "-B", "-c", code, str(PERFBENCH), str(tmp_path)],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(child.stdout.splitlines()[-1]) == STALE_PROBES

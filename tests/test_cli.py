@@ -212,6 +212,36 @@ class TestCompareCommand:
         assert (code, out) == (2, "")
         assert err.startswith("wvsim: error: g*epsilon/delta is out of floating-point range")
 
+    @pytest.mark.parametrize("argv", [
+        "compare --eps 1e-160",
+        "compare --eps 1e-200",
+        "compare --eps 9.9999999999e-78",
+        "compare --eps-grid 1e-80:1e-3:8:log",
+        "compare --g 1e-160 --eps 1e-160 --delta 1e-250",
+        "amplify --alpha-tan 1 --delta 1e300 --eps 1e-300",
+        "amplify --alpha-tan 1 --eps 2.2250738585072e-308",
+        "amplify --alpha-tan 1 --eps 1e-310 --delta 1e-10",
+    ])
+    def test_underflowing_coupling_exits_2(self, capsys, argv):
+        # below the smallest kick g*eps/delta each subcommand accepts, or with
+        # g*eps not a normal float, where underflow can print wrong digits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.startswith("wvsim: error: g*epsilon/delta is out of floating-point range")
+
+    @pytest.mark.parametrize("argv, line", [
+        ("compare --eps 1e-77", "1e-77,5e-78,3.53553390593e-155,5e-78,0.1,1.25e-155"),
+        ("amplify --alpha-tan 1e-3,1,1e3 --eps 2.2250738585072014e-308",
+         "1000,1000,9.99999000001e-07,true"),
+    ])
+    def test_smallest_kick_prints_the_oracle_digits(self, capsys, argv, line):
+        # every column to 12 digits, as tests/test_oracle.py checks in full
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == line
+
     def test_grid_that_rounds_to_repeated_values_exits_2(self, capsys):
         code, out, err = run(capsys, "compare", "--eps-grid", "1:1.0000000000000002:5:lin")
         assert code == 2

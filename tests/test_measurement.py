@@ -341,6 +341,9 @@ def _comparison(pre, post, a, c, grid):
 
 
 class TestSelectionMemo:
+    """Each call computes its selection afresh, with the bits of any other
+    call on equal inputs; nothing is shared between calls."""
+
     def test_shift_distance_equals_comparison_column_bitwise(self):
         pre, post, a = _dense_selection(21, 6)
         grid = tuple(np.geomspace(1e-4, 1e-1, 25).tolist())
@@ -352,13 +355,8 @@ class TestSelectionMemo:
 
     def test_memoised_results_equal_a_fresh_computation(self):
         pre, post, a = _dense_selection(22, 5)
-        measurement._selection_memo.cache_clear()
         first = _selection_outputs(pre, post, a)
-        assert measurement._selection_memo.cache_info().misses == 1
-        # a state rebuilt with the same amplitudes finds the same entry
         again = _selection_outputs(SystemState(pre.labels, pre.amplitudes), post, a)
-        assert measurement._selection_memo.cache_info().misses == 1
-        measurement._selection_memo.cache_clear()
         assert _selection_outputs(pre, post, a) == first == again
 
     def test_zero_sign_keeps_its_own_entry(self):
@@ -368,18 +366,20 @@ class TestSelectionMemo:
         post = SystemState((0, 1), (1 + 0j, 0j))
         plus, minus = (SystemState((0, 1), (1 + 0j, complex(0.0, z))) for z in (0.0, -0.0))
         assert plus == minus
-        measurement._selection_memo.cache_clear()
         signs = [np.signbit(branch_weights(s, post, a)[1].imag).tolist() for s in (plus, minus)]
         assert signs == [[False, False], [False, True]]
 
     def test_shared_arrays_are_read_only(self):
         pre, post, a = _dense_selection(23, 4)
         vals, w = branch_weights(pre, post, a)
-        assert branch_weights(pre, post, a)[1] is w
         assert pre.vector is pre.vector
-        for shared in (vals, w, pre.vector):
+        for shared in (vals, pre.vector):
             with pytest.raises(ValueError):
                 shared[0] = 5.0
+        # the weights are the caller's own: writing to them reaches no other call
+        fresh = w.copy()
+        w[0] = 5.0
+        assert branch_weights(pre, post, a)[1].tobytes() == fresh.tobytes()
 
     def test_orthogonal_selection_raises_on_every_call(self):
         pre = make_state([(0, 1), (1, 1)])
@@ -405,7 +405,6 @@ def counted_kernel_calls():
 
 def _fresh_check(pre, post, a, c):
     measurement._sweep = None
-    measurement._selection_memo.cache_clear()
     return effective_shift_check(pre, post, a, c)
 
 
@@ -446,6 +445,38 @@ class TestShiftSweep:
         assert not calls
         assert [_fresh_check(*m) for m in misses] == missed
         assert [_fresh_check(pre, post, a, replace(c, epsilon=e)) for e in grid] == hits
+
+    def test_equal_rebuilt_selection_misses_the_sweep_with_the_same_bits(self, monkeypatch):
+        pre, post, a = _dense_selection(26, 4)
+        grid = tuple(np.geomspace(1e-3, 1e-1, 7).tolist())
+        c = cfg(grid[0], g=1.1, delta=0.9)
+        column = [r.d_weak_vs_eigen for r in _comparison(pre, post, a, c, grid)]
+        selections = []
+        for name in ("weak_value", "branch_weights"):
+            fn = getattr(measurement, name)
+            monkeypatch.setattr(measurement, name,
+                                lambda *args, fn=fn: selections.append(1) or fn(*args))
+        # the swept objects hit and compute nothing, not even their selection
+        with counted_kernel_calls() as calls:
+            hits = [effective_shift_check(pre, post, a, replace(c, epsilon=e)).distance
+                    for e in grid]
+        assert hits == column
+        assert not calls and not selections
+        # equal states and an equal observable built anew match by value, not
+        # by identity: each check misses, computes its row, and gets the same bits
+        rebuilt = (SystemState(pre.labels, pre.amplitudes),
+                   SystemState(post.labels, post.amplitudes), Observable(a.labels, a.matrix))
+        assert rebuilt[:2] == (pre, post)
+        sweep = measurement._sweep
+        for k in range(3):
+            chosen = [pre, post, a]
+            chosen[k] = rebuilt[k]
+            with counted_kernel_calls() as calls:
+                missed = [effective_shift_check(*chosen, replace(c, epsilon=e)).distance
+                          for e in grid]
+            assert missed == column
+            assert len(calls) == len(grid)
+        assert measurement._sweep is sweep
 
     def test_shift_angles_is_the_comparison_column(self):
         pre, post, a = _dense_selection(24, 5)

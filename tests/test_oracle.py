@@ -8,7 +8,9 @@ of d_weak_vs_eigen is a quadratic form over O(eps^2) entries that cancel,
 with an ulp/eps^2 floor. With a complex weak value that sine leads with the
 first moment sum_j w_j (a_j - Re A_w), which cancels as much as its
 condition number says. The amplified mean shift divides by the selection
-amplitude <post|pre> ~ 1/tan(alpha/2) summed from O(1) terms.
+amplitude <post|pre> ~ 1/tan(alpha/2) summed from O(1) terms. Below the
+smallest kick g*eps/delta that each sweep accepts, underflow would leave
+printed digits wrong, so the sweeps reject it.
 """
 
 import math
@@ -17,10 +19,14 @@ import numpy as np
 import pytest
 
 import mporacle
+from wvsim import scenarios
 from wvsim.cli import main
+from wvsim.errors import InvalidData
 from wvsim.measurement import CouplingConfig, branch_weights, shift_angles, weak_value
 from wvsim.qstate import Observable, make_state
 from wvsim.scenarios import (
+    AMPLIFICATION_MIN_KICK,
+    COMPARISON_MIN_KICK,
     amplification_sweep,
     expectation_scenario,
     fit_power_law,
@@ -41,6 +47,13 @@ FIT_EXPONENT_TOL = 2e-15
 FIT_COEFFICIENT_TOL = 6e-15
 FIT_RESIDUAL_TOL = 2e-14
 TANS = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5)
+# a relative error this small still prints the oracle's 12 significant digits
+PRINTED_TOL = 5e-13
+# tan(alpha/2) values whose mean shift holds 12 digits at ordinary kicks
+FLOOR_TANS = (1e-3, 1.0, 10.0, 100.0, 1e3)
+COLUMNS = {"d_eigen": "d_eigen", "d_weak_vs_eigen": "d_weak_vs_eigen",
+           "d_expect_vs_eigen": "d_expect_vs_eigen",
+           "p_postselect": "postselect_probability", "weakness": "weakness"}
 
 
 def diagonal(observable):
@@ -167,3 +180,74 @@ def test_power_law_fit_against_exact_least_squares(sweep):
     # log-space residual
     for err, tol in zip(worst, (FIT_EXPONENT_TOL, FIT_COEFFICIENT_TOL, FIT_RESIDUAL_TOL)):
         assert err <= tol, worst
+
+
+def comparison_errors(cfg, grid):
+    """Worst relative error of each numeric column of the canonical
+    comparison over `grid`."""
+    weak, expect = weak_value_one_scenario(cfg, grid), expectation_scenario(cfg, grid)
+    worst = dict.fromkeys(COLUMNS, 0.0)
+    for row in run_comparison([weak, expect]):
+        exact = mporacle.comparison_row(weak.pre.amplitudes, weak.post.amplitudes,
+                                        diagonal(weak.observable), expect.pre.amplitudes,
+                                        diagonal(expect.observable), cfg.g, cfg.delta,
+                                        row.epsilon)
+        for column, attr in COLUMNS.items():
+            err = mporacle.rel_error(getattr(row, attr), exact[column])
+            worst[column] = max(worst[column], err)
+    return worst
+
+
+def amplification_errors(cfg, tans):
+    """Relative errors of the mean shift and post-selection probability of
+    each tan(alpha/2) row."""
+    rows = amplification_sweep([2 * math.atan(t) for t in tans], cfg)
+    errors = []
+    for t, row in zip(tans, rows):
+        spec = spin_amplification_scenario(2 * math.atan(t), cfg)
+        pre, post, values = spec.pre.amplitudes, spec.post.amplitudes, diagonal(spec.observable)
+        shift = mporacle.mean_shift(pre, post, values, cfg.g, cfg.delta, cfg.epsilon)
+        p = mporacle.comparison_row(pre, post, values, pre, values,
+                                    cfg.g, cfg.delta, cfg.epsilon)["p_postselect"]
+        errors.append(max(mporacle.rel_error(row.mean_shift_over_g_eps, shift),
+                          mporacle.rel_error(row.postselect_probability, p)))
+    return errors
+
+
+@pytest.mark.parametrize("g, delta", [(1.0, 1.0), (4.0, 0.5), (2.0 ** -100, 2.0 ** -200)])
+def test_comparison_holds_12_digits_down_to_its_smallest_kick(g, delta):
+    eps = COMPARISON_MIN_KICK * delta / g
+    assert g * eps / delta == COMPARISON_MIN_KICK
+    cfg = CouplingConfig(g, eps, delta)
+    # measured worst 3.6e-15, in d_weak_vs_eigen
+    errors = comparison_errors(cfg, (eps, 1e30 * eps, 1e-3 / g))
+    assert max(errors.values()) <= PRINTED_TOL, errors
+    below = math.nextafter(eps, 0.0)
+    with pytest.raises(InvalidData, match=r"^g\*epsilon/delta is out of floating-point range"):
+        comparison_errors(cfg, (below, eps))
+
+
+@pytest.mark.parametrize("eps, delta", [(AMPLIFICATION_MIN_KICK, 1.0),
+                                        (2.0 ** -20, 2.0 ** -20 / AMPLIFICATION_MIN_KICK)])
+def test_amplification_holds_12_digits_down_to_its_smallest_kick(eps, delta):
+    assert eps / delta == AMPLIFICATION_MIN_KICK
+    errors = amplification_errors(CouplingConfig(1.0, eps, delta), FLOOR_TANS)
+    # measured worst 1.4e-13, at tan = 1e-3
+    assert max(errors) <= PRINTED_TOL, errors
+    below = CouplingConfig(1.0, eps, math.nextafter(delta, math.inf))
+    assert below.epsilon / below.delta < AMPLIFICATION_MIN_KICK
+    with pytest.raises(InvalidData, match=r"^g\*epsilon/delta is out of floating-point range"):
+        amplification_sweep([math.pi / 2], below)
+
+
+def test_kicks_past_the_smallest_lose_printed_digits(monkeypatch):
+    # with the check switched off, a tenth of each floor, or a g*eps that is
+    # not a normal float, misses the oracle's 12 digits
+    monkeypatch.setattr(scenarios, "_check_smallest_kick", lambda *args: None)
+    tenth = CouplingConfig(1.0, COMPARISON_MIN_KICK / 10, 1.0)
+    assert comparison_errors(tenth, (tenth.epsilon,))["d_weak_vs_eigen"] > PRINTED_TOL
+    subnormal = CouplingConfig(1e-160, 1e-160, 1e-250)
+    assert max(comparison_errors(subnormal, (1e-160,)).values()) > PRINTED_TOL
+    for cfg in (CouplingConfig(1.0, 1e-3, 1e-3 / (AMPLIFICATION_MIN_KICK / 10)),
+                CouplingConfig(1.0, 1e-312, 1e-10)):
+        assert max(amplification_errors(cfg, FLOOR_TANS)) > PRINTED_TOL, cfg

@@ -1,12 +1,11 @@
 """Scenario constructors, comparison sweeps, power-law fits, amplification."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wvsim import cli, measurement, pointer, qstate, scenarios
+from wvsim import cli, pointer, qstate, scenarios
 from wvsim.errors import InvalidData
 from wvsim.measurement import CouplingConfig, branch_weights, weak_value, weakness
 from wvsim.qstate import expectation, inner
@@ -106,9 +105,7 @@ class TestCanonicalScenarios:
         run_comparison(specs())
         for cls in (qstate.SystemState, qstate.Observable):
             monkeypatch.setattr(cls, "__init__", recorded(cls.__init__))
-        misses = measurement._selection_memo.cache_info().misses
         run_comparison(specs())
-        assert measurement._selection_memo.cache_info().misses == misses
         assert built == []
 
 
@@ -176,14 +173,21 @@ class TestRunComparison:
             return run_comparison([weak_value_one_scenario(cfg), expectation_scenario(cfg)],
                                   grid)
 
-        for make in (weak_value_one_scenario, expectation_scenario, explicit):
+        for sweep in (compare_on, explicit):
             with pytest.raises(InvalidData, match="strictly increasing"):
-                make(CFG, [0.01, 0.01])
+                sweep(CFG, [0.01, 0.01])
             with pytest.raises(InvalidData, match="strictly positive"):
-                make(CFG, [0.0, 0.01])
+                sweep(CFG, [0.0, 0.01])
+
+
+def compare_on(cfg, grid):
+    """`run_comparison` of the canonical scenarios, both built with `grid`."""
+    return run_comparison([weak_value_one_scenario(cfg, grid), expectation_scenario(cfg, grid)])
 
 
 class TestScenarioSpec:
+    """A spec holds its grid as given; `run_comparison` checks the grid it sweeps."""
+
     def test_default_grid(self):
         spec = weak_value_one_scenario(CFG)
         assert spec.epsilon_grid == DEFAULT_EPSILON_GRID
@@ -192,26 +196,48 @@ class TestScenarioSpec:
         assert spec.epsilon_grid[-1] == pytest.approx(1e-2)
 
     def test_zero_epsilon_excluded(self):
-        spec = weak_value_one_scenario(CFG)
         with pytest.raises(InvalidData, match="epsilon grid values must be strictly positive"):
-            replace(spec, epsilon_grid=(0.0, 0.01))
+            compare_on(CFG, (0.0, 0.01))
 
     def test_grid_must_increase(self):
-        spec = weak_value_one_scenario(CFG)
         with pytest.raises(InvalidData, match="epsilon grid must be strictly increasing"):
-            replace(spec, epsilon_grid=(0.01, 0.01))
+            compare_on(CFG, (0.01, 0.01))
 
     @pytest.mark.parametrize("make", [weak_value_one_scenario, expectation_scenario])
     def test_empty_grid_rejected_not_defaulted(self, make):
         for empty in ([], (), np.array([])):
+            # an empty grid on either scenario is an error, never the default
             with pytest.raises(InvalidData, match="^epsilon grid is empty$"):
-                make(CFG, empty)
+                compare_on(CFG, empty)
+            with pytest.raises(InvalidData, match="^(epsilon grid is empty|scenarios must "
+                                                  "share g, delta and the epsilon grid)$"):
+                run_comparison([make(CFG, empty) if make is other else other(CFG)
+                                for other in (weak_value_one_scenario, expectation_scenario)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_grid_value_rejected(self, bad):
         for grid in ((bad,), (1e-3, bad), (1e-3, bad, 1e-2)):
             with pytest.raises(InvalidData, match="must be strictly positive and finite"):
-                weak_value_one_scenario(CFG, grid)
+                compare_on(CFG, grid)
+
+    @pytest.mark.parametrize("grid, message", [
+        ((), "^epsilon grid is empty$"),
+        ((0.0, 0.01), "^epsilon grid values must be strictly positive and finite$"),
+        ((1e-3, math.nan), "^epsilon grid values must be strictly positive and finite$"),
+        ((0.02, 0.01), "^epsilon grid must be strictly increasing$")])
+    def test_bad_grid_is_built_and_rejected_where_swept(self, grid, message):
+        weak = scenarios.ScenarioSpec("weak", scenarios.WEAK_ONE_PRE,
+                                      scenarios.WEAK_ONE_OBSERVABLE, CFG,
+                                      scenarios.WEAK_ONE_POST, grid)
+        expect = scenarios.ScenarioSpec("expect", scenarios.EXPECT_ONE_PRE,
+                                        scenarios.EXPECT_ONE_OBSERVABLE, CFG, None, grid)
+        assert weak.epsilon_grid is expect.epsilon_grid is grid
+        with pytest.raises(InvalidData, match=message):
+            run_comparison([weak, expect])
+        # the same message when the bad grid is the one passed to sweep
+        good = [weak_value_one_scenario(CFG), expectation_scenario(CFG)]
+        with pytest.raises(InvalidData, match=message):
+            run_comparison(good, grid)
 
     def test_cli_default_grid_spec_builds_the_default_grid(self):
         assert cli.parse_grid_spec(cli.DEFAULT_GRID_SPEC)[0] == DEFAULT_EPSILON_GRID
@@ -363,8 +389,10 @@ class TestAmplificationSweep:
         make_state = counted("make_state", qstate.make_state)
         for module in (qstate, scenarios):
             monkeypatch.setattr(module, "make_state", make_state)
-        for cls in (scenarios.ScenarioSpec, qstate.Observable):
-            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(scenarios.ScenarioSpec, "__init__",
+                            counted("ScenarioSpec", scenarios.ScenarioSpec.__init__))
+        monkeypatch.setattr(qstate.Observable, "__post_init__",
+                            counted("Observable", qstate.Observable.__post_init__))
         monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
         per_size = []
         for n in (2, 200):
