@@ -24,6 +24,11 @@ from .errors import InvalidData, OrthogonalSelection
 from .qstate import Observable, SystemState, apply, check_basis, inner
 
 DEFAULT_OVERLAP_FLOOR = 1e-12
+# The smallest g*eps/delta at which the shift angles, and with them every
+# column of a comparison, still match the oracle of tests/mporacle.py to 12
+# digits (tests/test_oracle.py): below it the sine squared of the angle,
+# ~(g eps/delta)^4 / 8, turns subnormal and underflow leaves digits wrong.
+COMPARISON_MIN_KICK = 1e-77
 
 
 @dataclass(frozen=True)
@@ -108,12 +113,12 @@ def _out_of_range(g: float, epsilon: float, delta: float) -> InvalidData:
                        f"g={g}, epsilon={epsilon}, delta={delta}")
 
 
-def _check_smallest_kick(g: float, epsilon: float, delta: float, floor: float) -> None:
-    """Reject a smallest kick whose columns would print digits that underflow
+def _check_smallest_kick(g: float, epsilon: float, delta: float) -> None:
+    """Reject a smallest kick whose angles would carry digits that underflow
     made wrong: g*epsilon must be a normal float and g*epsilon/delta at least
-    `floor`, the least ratio at which the caller's columns keep 12 digits."""
+    COMPARISON_MIN_KICK."""
     kick = g * epsilon
-    if not (kick >= sys.float_info.min and kick / delta >= floor):
+    if not (kick >= sys.float_info.min and kick / delta >= COMPARISON_MIN_KICK):
         raise _out_of_range(g, epsilon, delta)
 
 
@@ -124,6 +129,9 @@ _sweep = None
 
 
 def _angles(vals, w, aw: float, g: float, delta: float, grid: Sequence[float]) -> np.ndarray:
+    """The shift angles over the increasing `grid`; both `shift_angles` and a
+    miss of `effective_shift_check` come here, so both check the floor."""
+    _check_smallest_kick(g, grid[0], delta)
     with _finite_columns(g, grid[-1], delta):
         return pointer.angle(g * np.array(grid)[:, None] * (vals - aw), w, delta)
 

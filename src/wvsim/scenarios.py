@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import pointer
-from .errors import InvalidData
-from .measurement import (CouplingConfig, _check_smallest_kick, _finite_columns,
+from .errors import InvalidData, OrthogonalSelection
+from .measurement import (DEFAULT_OVERLAP_FLOOR, CouplingConfig, _finite_columns,
                           branch_weights, shift_angles, weak_value, weakness)
 from .qstate import Observable, SystemState, expectation, make_state, normalize
 
@@ -33,15 +32,10 @@ WEAKNESS_THRESHOLD = 1e-2
 # over a narrower spread of log abscissae a fitted slope is the distances'
 # rounding error divided by that spread, not a scaling law
 MIN_LOG_SPREAD = 1e-6
-# The smallest g*eps/delta at which every printed column still matches the
-# oracle of tests/mporacle.py to 12 digits (tests/test_oracle.py); below it
-# underflow leaves digits wrong. In a comparison the sine squared of
-# d_weak_vs_eigen, ~(g eps/delta)^4 / 8, turns subnormal first; in the
-# amplification table the kicks over delta must themselves be normal floats.
-COMPARISON_MIN_KICK = 1e-77
-AMPLIFICATION_MIN_KICK = sys.float_info.min
 # The canonical selections are shared, so their eigenbases are computed once.
 SPIN_Z = Observable.diagonal((-1, 1))
+# |up_x>, the post-selection of every spin amplification row
+SPIN_POST = SystemState((-1, 1), tuple(normalize([1 / math.sqrt(2.0)] * 2).tolist()))
 WEAK_ONE_PRE = make_state([(-1, 1.0), (0, 1.0), (1, 0.0)])
 WEAK_ONE_POST = make_state([(-1, 1.0), (0, -2.0), (1, 0.0)])
 WEAK_ONE_OBSERVABLE = Observable.diagonal((-1, 0, 1))
@@ -103,6 +97,9 @@ class AmplificationRow(NamedTuple):
     weak: bool
 
 
+_amplification_row = partial(tuple.__new__, AmplificationRow)
+
+
 def spin_amplification_scenario(alpha: float, cfg: CouplingConfig) -> ScenarioSpec:
     """Spin-1/2 pre-selected almost opposite to the post-selected direction.
 
@@ -112,22 +109,20 @@ def spin_amplification_scenario(alpha: float, cfg: CouplingConfig) -> ScenarioSp
     +-1 eigenvalue range as alpha approaches pi; the price is a
     post-selection probability of cos^2(alpha/2).
     """
-    pre, post = _spin_selections([alpha])
-    return ScenarioSpec("spin_amplification", SystemState((-1, 1), tuple(pre[0].tolist())),
-                        SPIN_Z, cfg, SystemState((-1, 1), tuple(post.tolist())))
+    (pre,) = _spin_selections(np.array([alpha], dtype=float))
+    return ScenarioSpec("spin_amplification", SystemState((-1, 1), tuple(pre.tolist())),
+                        SPIN_Z, cfg, SPIN_POST)
 
 
-def _spin_selections(alphas: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def _spin_selections(alphas: np.ndarray) -> np.ndarray:
     """Amplitudes on labels (-1, 1) of the pre-selection for each alpha, as
-    rows of an (n, 2) array, and of the common post-selection."""
-    for alpha in alphas:
-        if not 0.0 < alpha < math.pi:
-            raise InvalidData(f"alpha must lie in (0, pi), got {alpha}")
-    c = np.array([math.cos(alpha / 2) for alpha in alphas])
-    s = np.array([math.sin(alpha / 2) for alpha in alphas])
+    rows of an (n, 2) array; the post-selection is SPIN_POST for every row."""
+    bad = ~((alphas > 0.0) & (alphas < math.pi))
+    if bad.any():
+        raise InvalidData(f"alpha must lie in (0, pi), got {float(alphas[bad.argmax()])}")
+    c, s = np.cos(alphas / 2), np.sin(alphas / 2)
     inv = 1.0 / math.sqrt(2.0)
-    return (normalize(np.stack([(c - s) * inv, (c + s) * inv], axis=-1)),
-            normalize([inv, inv]))
+    return normalize(np.stack([(c - s) * inv, (c + s) * inv], axis=-1))
 
 
 def weak_value_one_scenario(cfg: CouplingConfig,
@@ -180,12 +175,13 @@ def run_comparison(specs: Iterable[ScenarioSpec],
     vals, w = branch_weights(weak.pre, weak.post, weak.observable)
     vals_x, born = branch_weights(expect.pre, None, expect.observable)
     g, delta = weak.cfg.g, weak.cfg.delta
-    _check_smallest_kick(g, grid[0], delta, COMPARISON_MIN_KICK)
+    # first, as it rejects a smallest kick below the floor
+    d_weak = shift_angles(weak.pre, weak.post, weak.observable, g, delta, grid)
     with _finite_columns(g, grid[-1], delta):
         kick = g * np.array(grid)[:, None]
         columns = (
             pointer.angle(kick * a_ref, [1.0], delta),
-            shift_angles(weak.pre, weak.post, weak.observable, g, delta, grid),
+            d_weak,
             pointer.mixture_angle(kick * (vals_x - a_ref), born, delta),
             np.minimum(pointer.norm_sq(kick * vals, w, delta), 1.0),
             weakness(kick * vals, w, delta),
@@ -239,21 +235,40 @@ def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> list[Am
     rather than dropped: a row counts as weak only while both the selection
     scalar product and the post-selection probability stay within
     WEAKNESS_THRESHOLD of their zero-coupling values.
+
+    The pointer q (p1 G_{-u} + p2 G_u), with u = g*eps, post amplitude q and
+    pre-selection (p1, p2), has closed-form moments in A = p1 + p2,
+    B = p2 - p1 and S = <G_{-u}|G_u> = exp(-x^2 / 2), x = u / delta:
+    norm^2 = q^2 (A^2 (1 + S) + B^2 (1 - S)) / 2 and <Q> = u q^2 A B / norm^2.
+    Every sum there is over non-negative terms, A is exact for tan >= 3
+    (Sterbenz), B for tan <= 1/3, and 1 - S is -expm1(-x^2 / 2), so each
+    column keeps its last digits however small <post|pre> = q A or the kick;
+    the normalisation q^2 (A^2 + B^2) = 1 is taken from the rounded
+    amplitudes themselves.
     """
-    alphas = list(alphas)
-    if not alphas:
+    alphas = np.fromiter(alphas, float)
+    if not alphas.size:
         return []
-    pre, post = _spin_selections(alphas)
-    # sigma_z is diagonal on the labels, so the amplitudes are the branch ones
-    vals, w = SPIN_Z.eigenbasis[0], np.conj(post) * pre
-    p0 = np.abs(np.sum(w, axis=-1)) ** 2
-    _check_smallest_kick(cfg.g, cfg.epsilon, cfg.delta, AMPLIFICATION_MIN_KICK)
+    pre = _spin_selections(alphas).real
+    p1, p2 = pre[:, 0], pre[:, 1]
+    a, b = p1 + p2, p2 - p1
+    # errors in the order of the general kernel: an overflowing g*eps, an
+    # orthogonal selection, then an overflowing x
     with _finite_columns(cfg.g, cfg.epsilon, cfg.delta):
         kick = np.float64(cfg.g) * cfg.epsilon
-        metric = weakness(kick * vals, w, cfg.delta)
-        prob = np.minimum(pointer.norm_sq(kick * vals, w, cfg.delta), 1.0)
-        shift = pointer.mean_position(kick * vals, w, cfg.delta) / kick
-    weak = (metric <= WEAKNESS_THRESHOLD) & (np.abs(prob - p0) / p0 <= WEAKNESS_THRESHOLD)
-    return list(map(AmplificationRow._make,
-                    zip((math.tan(alpha / 2) for alpha in alphas), shift.tolist(),
-                        prob.tolist(), metric.tolist(), weak.tolist())))
+        if np.any(np.abs(a) * SPIN_POST.amplitudes[0].real <= DEFAULT_OVERLAP_FLOOR):
+            raise OrthogonalSelection("pre- and post-selection are orthogonal")
+        x = kick / cfg.delta
+        h = x * x / -2.0
+    s, one_minus_s = math.exp(h), -math.expm1(h)
+    metric = -math.expm1(h / 4.0)
+    a2, b2 = a * a, b * b
+    denom = a2 * (1.0 + s) + b2 * one_minus_s
+    shift = 2.0 * a * b / denom
+    prob = np.minimum(denom / (2.0 * (a2 + b2)), 1.0)
+    # |p - p0| / p0 with p0 = A^2 / (A^2 + B^2), the probability at zero kick
+    drift = one_minus_s * np.abs(b2 - a2) / (2.0 * a2)
+    weak = (drift <= WEAKNESS_THRESHOLD) & (metric <= WEAKNESS_THRESHOLD)
+    return list(map(_amplification_row, zip(
+        map(math.tan, (alphas / 2).tolist()), shift.tolist(), prob.tolist(),
+        repeat(metric), weak.tolist())))

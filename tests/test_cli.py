@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mporacle
 from wvsim.cli import (
     AMPLIFY_COLUMNS,
     COMPARE_COLUMNS,
@@ -22,7 +23,8 @@ from wvsim.cli import (
     parse_state_spec,
 )
 from wvsim.errors import InvalidData
-from wvsim.scenarios import AmplificationRow, ComparisonRow
+from wvsim.measurement import CouplingConfig
+from wvsim.scenarios import AmplificationRow, ComparisonRow, spin_amplification_scenario
 
 COMPARE_HEADER = "epsilon,d_eigen,d_weak_vs_eigen,d_expect_vs_eigen,p_postselect,weakness"
 AMPLIFY_HEADER = "tan_half_alpha,mean_shift_over_g_eps,p_postselect,weak_flag"
@@ -218,12 +220,9 @@ class TestCompareCommand:
         "compare --eps 9.9999999999e-78",
         "compare --eps-grid 1e-80:1e-3:8:log",
         "compare --g 1e-160 --eps 1e-160 --delta 1e-250",
-        "amplify --alpha-tan 1 --delta 1e300 --eps 1e-300",
-        "amplify --alpha-tan 1 --eps 2.2250738585072e-308",
-        "amplify --alpha-tan 1 --eps 1e-310 --delta 1e-10",
     ])
     def test_underflowing_coupling_exits_2(self, capsys, argv):
-        # below the smallest kick g*eps/delta each subcommand accepts, or with
+        # below the smallest kick g*eps/delta that compare accepts, or with
         # g*eps not a normal float, where underflow can print wrong digits
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -282,6 +281,38 @@ class TestAmplifyCommand:
         for row, target in zip(rows, (1.0, 10.0, 100.0)):
             assert float(row[1]) == pytest.approx(target, rel=0.02)
             assert row[3] == "true"
+
+    @pytest.mark.parametrize("argv", [
+        "amplify --alpha-tan 1 --delta 1e300 --eps 1e-300",
+        "amplify --alpha-tan 1 --eps 2.2250738585072e-308",
+        "amplify --alpha-tan 1 --eps 1e-310 --delta 1e-10",
+    ], ids=["delta-1e300", "eps-below-normal", "subnormal-g-eps"])
+    def test_tiny_coupling_prints_the_oracle_digits(self, capsys, argv):
+        # the closed-form table has no underflow floor: kicks g*eps/delta
+        # below the smallest normal float, and a subnormal g*eps, print the
+        # oracle's 12 digits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        (row,) = [line.split(",") for line in out.splitlines()[2:]]
+        flags = dict(zip(argv.split()[1::2], map(float, argv.split()[2::2])))
+        cfg = CouplingConfig(flags.get("--g", 1.0), flags["--eps"], flags.get("--delta", 1.0))
+        spec = spin_amplification_scenario(2 * math.atan(flags["--alpha-tan"]), cfg)
+        pre, post = spec.pre.amplitudes, spec.post.amplitudes
+        shift = mporacle.mean_shift(pre, post, (-1, 1), cfg.g, cfg.delta, cfg.epsilon)
+        p = mporacle.comparison_row(pre, post, (-1, 1), pre, (-1, 1), cfg.g, cfg.delta,
+                                    cfg.epsilon)["p_postselect"]
+        assert row[1:3] == [f"{float(shift):.12g}", f"{float(p):.12g}"]
+
+    def test_amplified_shift_prints_the_oracle_digits(self, capsys):
+        # at tan = 5e4 the selection amplitude <post|pre> is ~1/tan of its
+        # O(1) terms; the mean shift keeps its 12th digit (oracle
+        # 15.7974963468372)
+        code, out, _ = run(capsys, "amplify", "--alpha-tan", "0.5,2,50000", "--eps", "3e-3",
+                           "--g", "1.5", "--delta", "2")
+        assert code == 0
+        assert out.splitlines()[-1] == "50000.0000001,15.7974963468,1.26602339718e-06,false"
 
     def test_strong_coupling_flagged(self, capsys):
         code, out, _ = run(capsys, "amplify", "--alpha-tan", "100", "--eps", "0.1")

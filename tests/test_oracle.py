@@ -7,26 +7,37 @@ ulp for every column, with three exceptions. Past the weak regime the sine
 of d_weak_vs_eigen is a quadratic form over O(eps^2) entries that cancel,
 with an ulp/eps^2 floor. With a complex weak value that sine leads with the
 first moment sum_j w_j (a_j - Re A_w), which cancels as much as its
-condition number says. The amplified mean shift divides by the selection
-amplitude <post|pre> ~ 1/tan(alpha/2) summed from O(1) terms. Below the
-smallest kick g*eps/delta that each sweep accepts, underflow would leave
-printed digits wrong, so the sweeps reject it.
+condition number says. The amplification table is a closed form in sums of
+non-negative terms, so its mean shift and post-selection probability hold
+about one ulp for tan(alpha/2) from 1e-8 to 1e11 and for every kick down to
+subnormal g*eps. Below the smallest kick g*eps/delta that the shift angles
+accept, underflow would leave printed comparison digits wrong, so the shift
+sweep rejects it, and with it a comparison.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import mporacle
-from wvsim import scenarios
+from wvsim import measurement
 from wvsim.cli import main
 from wvsim.errors import InvalidData
-from wvsim.measurement import CouplingConfig, branch_weights, shift_angles, weak_value
+from wvsim.measurement import (
+    COMPARISON_MIN_KICK,
+    CouplingConfig,
+    branch_weights,
+    effective_shift_check,
+    shift_angles,
+    weak_value,
+)
 from wvsim.qstate import Observable, make_state
 from wvsim.scenarios import (
-    AMPLIFICATION_MIN_KICK,
-    COMPARISON_MIN_KICK,
+    WEAK_ONE_OBSERVABLE,
+    WEAK_ONE_POST,
+    WEAK_ONE_PRE,
     amplification_sweep,
     expectation_scenario,
     fit_power_law,
@@ -46,11 +57,12 @@ MOMENT_TOL = 5e-16
 FIT_EXPONENT_TOL = 2e-15
 FIT_COEFFICIENT_TOL = 6e-15
 FIT_RESIDUAL_TOL = 2e-14
-TANS = (1.0, 10.0, 100.0, 1e3, 1e4, 1e5)
+# tan(alpha/2) across the amplification table's range; at 1e12 the selection
+# amplitude <post|pre> falls below the overlap floor
+TANS = (1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 3.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7,
+        1e8, 1e9, 1e10, 1e11)
 # a relative error this small still prints the oracle's 12 significant digits
 PRINTED_TOL = 5e-13
-# tan(alpha/2) values whose mean shift holds 12 digits at ordinary kicks
-FLOOR_TANS = (1e-3, 1.0, 10.0, 100.0, 1e3)
 COLUMNS = {"d_eigen": "d_eigen", "d_weak_vs_eigen": "d_weak_vs_eigen",
            "d_expect_vs_eigen": "d_expect_vs_eigen",
            "p_postselect": "postselect_probability", "weakness": "weakness"}
@@ -140,10 +152,12 @@ def test_amplified_mean_shift(eps):
     rows = amplification_sweep([2 * math.atan(t) for t in TANS], cfg)
     for t, row in zip(TANS, rows):
         spec = spin_amplification_scenario(2 * math.atan(t), cfg)
-        exact = mporacle.mean_shift(spec.pre.amplitudes, spec.post.amplitudes,
-                                    diagonal(spec.observable), 1.0, 1.0, eps)
-        # measured worst 5.7e-12 at tan = 1e5
-        assert mporacle.rel_error(row.mean_shift_over_g_eps, exact) <= 2e-16 * t + ULP_TOL, t
+        pre, post, values = spec.pre.amplitudes, spec.post.amplitudes, diagonal(spec.observable)
+        exact = mporacle.mean_shift(pre, post, values, 1.0, 1.0, eps)
+        p = mporacle.comparison_row(pre, post, values, pre, values, 1.0, 1.0, eps)["p_postselect"]
+        # measured worst 3.6e-16 and 2.8e-16 over tan in [1e-8, 1e11], eps in [1e-6, 3]
+        assert mporacle.rel_error(row.mean_shift_over_g_eps, exact) <= ULP_TOL, t
+        assert mporacle.rel_error(row.postselect_probability, p) <= ULP_TOL, t
 
 
 @pytest.mark.parametrize("grid", ["1e-4:1e-3:8:log", "1e-5:1e-4:8:log"])
@@ -227,27 +241,44 @@ def test_comparison_holds_12_digits_down_to_its_smallest_kick(g, delta):
         comparison_errors(cfg, (below, eps))
 
 
-@pytest.mark.parametrize("eps, delta", [(AMPLIFICATION_MIN_KICK, 1.0),
-                                        (2.0 ** -20, 2.0 ** -20 / AMPLIFICATION_MIN_KICK)])
+@pytest.mark.parametrize("eps, delta", [
+    (sys.float_info.min, 1.0), (2.0 ** -20, 2.0 ** -20 / sys.float_info.min),
+    (1e-3, 1e-3 / (sys.float_info.min / 10)), (1e-312, 1e-10)])
 def test_amplification_holds_12_digits_down_to_its_smallest_kick(eps, delta):
-    assert eps / delta == AMPLIFICATION_MIN_KICK
-    errors = amplification_errors(CouplingConfig(1.0, eps, delta), FLOOR_TANS)
-    # measured worst 1.4e-13, at tan = 1e-3
-    assert max(errors) <= PRINTED_TOL, errors
+    # the closed form has no floor: at kicks g*eps/delta down to the smallest
+    # normal float, the next float below it, a tenth of it, and a subnormal
+    # g*eps, every row holds the oracle's digits to about one ulp
+    errors = amplification_errors(CouplingConfig(1.0, eps, delta), TANS)
+    # measured worst 2.2e-16
+    assert max(errors) <= ULP_TOL, errors
     below = CouplingConfig(1.0, eps, math.nextafter(delta, math.inf))
-    assert below.epsilon / below.delta < AMPLIFICATION_MIN_KICK
-    with pytest.raises(InvalidData, match=r"^g\*epsilon/delta is out of floating-point range"):
-        amplification_sweep([math.pi / 2], below)
+    assert max(amplification_errors(below, TANS)) <= ULP_TOL
 
 
 def test_kicks_past_the_smallest_lose_printed_digits(monkeypatch):
-    # with the check switched off, a tenth of each floor, or a g*eps that is
+    # with the check switched off, a tenth of the floor, or a g*eps that is
     # not a normal float, misses the oracle's 12 digits
-    monkeypatch.setattr(scenarios, "_check_smallest_kick", lambda *args: None)
+    monkeypatch.setattr(measurement, "_check_smallest_kick", lambda *args: None)
     tenth = CouplingConfig(1.0, COMPARISON_MIN_KICK / 10, 1.0)
     assert comparison_errors(tenth, (tenth.epsilon,))["d_weak_vs_eigen"] > PRINTED_TOL
     subnormal = CouplingConfig(1e-160, 1e-160, 1e-250)
     assert max(comparison_errors(subnormal, (1e-160,)).values()) > PRINTED_TOL
-    for cfg in (CouplingConfig(1.0, 1e-3, 1e-3 / (AMPLIFICATION_MIN_KICK / 10)),
-                CouplingConfig(1.0, 1e-312, 1e-10)):
-        assert max(amplification_errors(cfg, FLOOR_TANS)) > PRINTED_TOL, cfg
+
+
+@pytest.mark.parametrize("eps", [1e-80, 1e-100, math.nextafter(COMPARISON_MIN_KICK, 0.0)])
+def test_shift_angles_reject_kicks_below_the_floor(eps):
+    # the floor holds for every caller of the shift kernel, not only for
+    # run_comparison: a sweep and a one-eps check that misses the sweep
+    exact = mporacle.comparison_row(WEAK_ONE_PRE.amplitudes, WEAK_ONE_POST.amplitudes,
+                                    diagonal(WEAK_ONE_OBSERVABLE), WEAK_ONE_PRE.amplitudes,
+                                    diagonal(WEAK_ONE_OBSERVABLE), 1.0, 1.0,
+                                    COMPARISON_MIN_KICK)["d_weak_vs_eigen"]
+    (at_floor,) = shift_angles(WEAK_ONE_PRE, WEAK_ONE_POST, WEAK_ONE_OBSERVABLE, 1.0, 1.0,
+                               (COMPARISON_MIN_KICK,))
+    assert mporacle.rel_error(at_floor, exact) <= PRINTED_TOL  # measured 3.6e-15
+    out_of_range = r"^g\*epsilon/delta is out of floating-point range"
+    with pytest.raises(InvalidData, match=out_of_range):
+        shift_angles(WEAK_ONE_PRE, WEAK_ONE_POST, WEAK_ONE_OBSERVABLE, 1.0, 1.0, (eps, 1e-3))
+    with pytest.raises(InvalidData, match=out_of_range):
+        effective_shift_check(WEAK_ONE_PRE, WEAK_ONE_POST, WEAK_ONE_OBSERVABLE,
+                              CouplingConfig(1.0, eps, 1.0))

@@ -21,6 +21,8 @@ from wvsim.scenarios import (
 )
 
 CFG = CouplingConfig(g=1.0, epsilon=0.01, delta=1.0)
+# the relative accuracy of the general pointer kernel on well-conditioned sums
+KERNEL_ULP_TOL = 2e-15
 
 
 class TestSpinAmplificationScenario:
@@ -360,10 +362,15 @@ class TestAmplificationSweep:
         tans = [*10.0 ** np.random.default_rng(9).uniform(-8.0, 12.0, 60), 0.5, 1, 2, 10, 100, 1000, 50000, 1e5]
         alphas = [2 * math.atan(t) for t in tans]
         cfg = CouplingConfig(g=1.5, epsilon=eps, delta=2.0)
-        # one scenario and one branch_weights call per row, the kernel per row
+        rows = amplification_sweep(alphas, cfg)
+        # each row depends on its own alpha alone, bit for bit
+        alone = [row for alpha in alphas for row in amplification_sweep([alpha], cfg)]
+        assert np.array(rows, dtype=float).tobytes() == np.array(alone, dtype=float).tobytes()
+        # the general kernel, one scenario and one branch_weights call per row,
+        # agrees within its own accuracy: it sums <post|pre> ~ 1/tan(alpha/2)
+        # and its first moment ~ tan(alpha/2) from O(1) rounded products
         kick = np.float64(cfg.g) * eps
-        expected = []
-        for alpha in alphas:
+        for t, alpha, row in zip(tans, alphas, rows):
             spec = spin_amplification_scenario(alpha, cfg)
             vals, w = branch_weights(spec.pre, spec.post, spec.observable)
             metric = weakness(kick * vals, w, cfg.delta)
@@ -371,11 +378,12 @@ class TestAmplificationSweep:
             shift = pointer.mean_position(kick * vals, w, cfg.delta) / kick
             p0 = abs(np.sum(w)) ** 2
             weak = metric <= WEAKNESS_THRESHOLD and abs(prob - p0) / p0 <= WEAKNESS_THRESHOLD
-            expected.append((math.tan(alpha / 2), shift, prob, metric, weak))
-        rows = amplification_sweep(alphas, cfg)
-        got = [(r.tan_half_alpha, r.mean_shift_over_g_eps, r.postselect_probability,
-                r.weakness, r.weak) for r in rows]
-        assert np.array(got, dtype=float).tobytes() == np.array(expected, dtype=float).tobytes()
+            tol = 2e-16 * max(t, 1 / t) + KERNEL_ULP_TOL
+            assert row.tan_half_alpha == math.tan(alpha / 2)
+            assert row.mean_shift_over_g_eps == pytest.approx(shift, rel=tol, abs=0), t
+            assert row.postselect_probability == pytest.approx(prob, rel=tol, abs=0), t
+            assert row.weakness == pytest.approx(metric, rel=tol, abs=0), t
+            assert row.weak == weak, t
 
     def test_work_does_not_grow_with_rows(self, monkeypatch):
         counts = {}
