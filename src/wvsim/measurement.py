@@ -122,35 +122,46 @@ def _check_smallest_kick(g: float, epsilon: float, delta: float) -> None:
         raise _out_of_range(g, epsilon, delta)
 
 
-# (pre, post, A, g, delta, Re(A_w), grid, angles) of the last `shift_angles`
-# call, which `effective_shift_check` reads instead of recomputing a row of it;
-# the selection matches by identity, so only the very objects swept hit
+# (pre, post, A, g, delta, Re(A_w), grid, angles) of the last sweep, which
+# `effective_shift_check` reads instead of recomputing a row of it; the
+# selection matches by identity, so only the very objects swept hit
 _sweep = None
 
 
-def _angles(vals, w, aw: float, g: float, delta: float, grid: Sequence[float]) -> np.ndarray:
-    """The shift angles over the increasing `grid`; both `shift_angles` and a
-    miss of `effective_shift_check` come here, so both check the floor."""
-    _check_smallest_kick(g, grid[0], delta)
-    with _finite_columns(g, grid[-1], delta):
-        return pointer.angle(g * np.array(grid)[:, None] * (vals - aw), w, delta)
+def _shift(vals, w, aw: float, g: float, delta: float, eps: np.ndarray):
+    """Shift angles and squared norms of the conditioned pointer over the
+    increasing array `eps`, from one kernel call; every sweep and a miss of
+    `effective_shift_check` come here, so all check the floor."""
+    _check_smallest_kick(g, float(eps[0]), delta)
+    with _finite_columns(g, float(eps[-1]), delta):
+        return pointer.angle_and_norm(g * eps[:, None] * (vals - aw), w, delta)
+
+
+def shift_sweep(pre: SystemState, post: SystemState, a: Observable, selection,
+                g: float, delta: float, eps: np.ndarray, grid: list[float]):
+    """The read-only `d_weak_vs_eigen` column and the uncapped post-selection
+    probability over the strictly increasing float array `eps` (`grid` is
+    its `tolist()`), for `selection = (eigenvalues, weights, Re(A_w))` of pre,
+    post and A. The sweep is kept, so that `effective_shift_check` on the same
+    pre, post and A objects, g and delta finds an eps of the grid there."""
+    global _sweep
+    vals, w, aw = selection
+    angles, norms = _shift(vals, w, aw, g, delta, eps)
+    angles.flags.writeable = False
+    _sweep = (pre, post, a, g, delta, aw, grid, angles)
+    return angles, norms
 
 
 def shift_angles(pre: SystemState, post: SystemState, a: Observable,
                  g: float, delta: float, grid: Sequence[float]) -> np.ndarray:
     """Bures angle between the conditioned pointer and its rigid shift by
     g*eps*Re(A_w), for each eps of `grid`: the `d_weak_vs_eigen` column, as a
-    read-only array. The last sweep is kept, so that `effective_shift_check`
-    on the same pre, post and A objects, g and delta finds an eps of the grid
-    there; the grid must be strictly increasing for that lookup to find it."""
-    global _sweep
+    read-only array, by `shift_sweep`; the grid must be strictly increasing
+    for a later `effective_shift_check` to find its eps there."""
     vals, w = branch_weights(pre, post, a)
     aw = weak_value(pre, post, a).real
-    grid = tuple(grid)
-    angles = _angles(vals, w, aw, g, delta, grid)
-    angles.flags.writeable = False
-    _sweep = (pre, post, a, g, delta, aw, grid, angles)
-    return angles
+    eps = np.fromiter(grid, float)
+    return shift_sweep(pre, post, a, (vals, w, aw), g, delta, eps, eps.tolist())[0]
 
 
 def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
@@ -160,7 +171,7 @@ def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
     In the weak regime the distance between them is O(eps^2) while the pointer
     has moved O(eps) away from where it started, so the observable acts on the
     probe like the single number Re(A_w). The distance is the
-    `d_weak_vs_eigen` angle of `shift_angles` at this eps, taken from its last
+    `d_weak_vs_eigen` angle of `shift_sweep` at this eps, taken from its last
     sweep when that covered these pre, post and A objects, g, delta and eps,
     and computed as one row otherwise (bitwise the same either way).
     """
@@ -178,4 +189,4 @@ def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
         if i < len(grid) and grid[i] == eps:
             return ShiftCheck(ideal, float(sweep[7][i]))
     vals, w = branch_weights(pre, post, a)
-    return ShiftCheck(ideal, float(_angles(vals, w, aw, g, delta, (eps,))[0]))
+    return ShiftCheck(ideal, float(_shift(vals, w, aw, g, delta, np.array([eps]))[0][0]))

@@ -12,8 +12,10 @@ against D): departures from zero-kick values go through expm1, and each angle
 is atan2 of a separately computed sine and cosine, never arccos of a fidelity
 that rounds to 1. The sine of a pure pointer's angle is a quadratic form whose
 entries cancel there, so on rows whose kicks all lie within 2D sqrt(0.02) of
-zero `angle` sums it as a fixed 8-term series of non-negative squares; past
-that, where the angle is no longer small, it evaluates the form itself.
+zero `angle_and_norm` sums it as a fixed 8-term series of non-negative
+squares; past that, where the angle is no longer small, it evaluates the form
+itself. The same pass gives the pointer's squared norm, so there is one norm
+formula for every caller.
 """
 
 from __future__ import annotations
@@ -36,14 +38,7 @@ def _gram_exponent(x):
     return d * d / -8.0
 
 
-def norm_sq(kicks, weights, delta):
-    """||sum_j w_j G_{u_j}||^2 = |sum_j w_j|^2 + w^H (S - 1) w."""
-    x = np.asarray(kicks, dtype=float) / delta
-    s_minus_1 = np.expm1(_gram_exponent(x))
-    return np.abs(np.sum(weights, axis=-1)) ** 2 + _form(weights, s_minus_1, weights)
-
-
-# `angle` sums its series on rows whose kicks all have t = (u / 2D)^2 <=
+# `angle_and_norm` sums its series on rows whose kicks all have t = (u / 2D)^2 <=
 # _SERIES_T_MAX. The terms past n = N = _SERIES_TERMS then add at most
 # 2 t^(N-1) / (N+1)! <= 2^-56 times (sum_j |w_j|)^2 t^2, the size of the
 # n = 2 term, which leads when the n = 1 term cancels (a real weak value).
@@ -52,11 +47,12 @@ _SERIES_T_MAX = 0.02
 _FACTORIALS = np.array([float(math.factorial(n)) for n in range(1, _SERIES_TERMS + 1)])[:, None]
 
 
-def angle(kicks, weights, delta):
-    """Bures angle in [0, pi/2] between the pure pointer sum_j w_j G_{u_j}
-    and G_0; the weights need not be normalized.
+def angle_and_norm(kicks, weights, delta):
+    """(Bures angle in [0, pi/2] to G_0, squared norm) of the pure pointer
+    sum_j w_j G_{u_j}, from one pass over its terms; the weights need not be
+    normalized.
 
-    With e_j = <G_0|G_{u_j}> = exp(-u_j^2 / 8D^2), the cosine is
+    With e_j = <G_0|G_{u_j}> = exp(-u_j^2 / 8D^2), the cosine of the angle is
     |sum_j w_j e_j| and the sine sqrt(w^H C w), both over the norm, where
     C_jk = S_jk - e_j e_k = e_j e_k (exp(t_jk) - 1), t_jk = u_j u_k / 4D^2.
     The entries of C are O(t), but in the weak regime the sine is O(t^2), so
@@ -68,6 +64,13 @@ def angle(kicks, weights, delta):
     1x1 and does not cancel, take the quadratic form itself, with an entry
     with t_jk >= 0 evaluated as -S_jk expm1(-t_jk), so that no factor
     overflows for kicks far outside the pointer.
+
+    The squared norm is |sum_j w_j|^2 + w^H (S - 1) w. It depends on the
+    kicks only through their differences, so a caller may shift them all by
+    one amount (as the shift angles do) and still get the norm. On series
+    rows it is cos^2 + sin^2 with the cosine's sum split as
+    sum_j w_j + v, v = sum_j w_j expm1(-u_j^2 / 8D^2), and summed smallest
+    terms first: |sum_j w_j|^2 + (2 Re(conj(sum_j w_j) v) + (|v|^2 + sin^2)).
     """
     x = np.asarray(kicks, dtype=float) / delta
     w = np.asarray(weights)
@@ -75,7 +78,7 @@ def angle(kicks, weights, delta):
         x, w = np.broadcast_arrays(x, w)
     lead, d = x.shape[:-1], x.shape[-1]
     if d <= 1:
-        return _gram_angle(x, w)
+        return _gram(x, w)
     x = x.reshape(-1, d)
     per_row = w.ndim > 1
     if per_row:
@@ -84,43 +87,65 @@ def angle(kicks, weights, delta):
     yy = y * y
     series = np.max(yy, axis=0) <= _SERIES_T_MAX
     if series.all():
-        out = _series_angle(y, yy, w)
+        out = _series(y, yy, w)
     else:
-        out = np.empty(len(x))
-        out[series] = _series_angle(y[:, series], yy[:, series], w[series] if per_row else w)
-        out[~series] = _gram_angle(x[~series], w[~series] if per_row else w)
-    return out.reshape(lead)[()]
+        out = np.empty((2, len(x)))
+        out[:, series] = _series(y[:, series], yy[:, series], w[series] if per_row else w)
+        out[:, ~series] = _gram(x[~series], w[~series] if per_row else w)
+    return out[0].reshape(lead)[()], out[1].reshape(lead)[()]
 
 
-def _series_angle(y, yy, w):
-    """`angle` by the series, for kicks u_j = 2D y_j given as y and y^2 with
-    the terms along the first axis, and weights w of shape (d,) or (rows, d).
-    The n = 0 sum, sum_j w_j e_j, is the cosine."""
-    q = np.empty((_SERIES_TERMS + 1,) + y.shape)
-    np.exp(yy * -0.5, out=q[0])
+def angle(kicks, weights, delta):
+    """Bures angle in [0, pi/2] between the pure pointer sum_j w_j G_{u_j}
+    and G_0: the first half of `angle_and_norm`."""
+    return angle_and_norm(kicks, weights, delta)[0]
+
+
+def norm_sq(kicks, weights, delta):
+    """||sum_j w_j G_{u_j}||^2: the second half of `angle_and_norm`."""
+    return angle_and_norm(kicks, weights, delta)[1]
+
+
+def _series(y, yy, w):
+    """`angle_and_norm` by the series, for kicks u_j = 2D y_j given as y and
+    y^2 with the terms along the first axis, and weights w of shape (d,) or
+    (rows, d). The n = 0 sum, sum_j w_j e_j, is the cosine."""
+    h = yy * -0.5
+    q = np.empty((len(y), _SERIES_TERMS + 2) + y.shape[1:])
+    np.exp(h, out=q[:, 0])
     for n in range(1, _SERIES_TERMS + 1):
-        np.multiply(q[n - 1], y, out=q[n])
-    # v[:, n] = (Re, Im) sum_j w_j e_j y_j^n, summed over j in order
-    w_j = np.stack([w.real.T, w.imag.T], axis=1).reshape(len(y), 2, 1, -1)
-    q_j = q.swapaxes(0, 1)
-    v = q_j[0] * w_j[0]
-    for j in range(1, len(y)):
-        v += q_j[j] * w_j[j]
-    sq = np.square(v).sum(axis=0)
-    terms = sq[1:] / _FACTORIALS
+        np.multiply(q[:, n - 1], y, out=q[:, n])
+    np.expm1(h, out=q[:, -1])
+    # (Re, Im) sum_j w_j q_jn: sum_j w_j e_j y_j^n, and at n = -1 the same
+    # sum of w_j expm1(-y_j^2 / 2). j is the slowest axis of these C-ordered
+    # arrays, and numpy reduces such an axis slice by slice (pairwise summation
+    # runs only along the fastest), so each sum runs over j in order and a
+    # row's sums do not depend on the other rows.
+    w_j = w.T.reshape(len(y), 1, -1)
+    re = np.add.reduce(q * w_j.real, axis=0)
+    im = np.add.reduce(np.multiply(q, w_j.imag, out=q), axis=0)
+    sq = re * re + im * im
+    terms = sq[1:-1] / _FACTORIALS
     sin_sq = terms[-1].copy()
     for n in range(_SERIES_TERMS - 2, -1, -1):
         sin_sq += terms[n]
-    return np.arctan2(np.sqrt(sin_sq), np.sqrt(sq[0]))
+    total = np.sum(w, axis=-1)
+    cross = 2.0 * (total.real * re[-1] + total.imag * im[-1])
+    norm = np.abs(total) ** 2 + (cross + (sq[-1] + sin_sq))
+    return np.arctan2(np.sqrt(sin_sq), np.sqrt(sq[0])), norm
 
 
-def _gram_angle(x, weights):
-    """`angle` from the quadratic form w^H C w, for kicks x = u / D."""
+def _gram(x, weights):
+    """`angle_and_norm` from the quadratic forms, for kicks x = u / D."""
     e = np.exp(x * x / -8.0)
     t = x[..., :, None] * x[..., None, :] / 4.0
-    scale = np.where(t >= 0.0, -np.exp(_gram_exponent(x)), e[..., :, None] * e[..., None, :])
+    exponent = _gram_exponent(x)
+    scale = np.where(t >= 0.0, -np.exp(exponent), e[..., :, None] * e[..., None, :])
     sin_sq = _form(weights, scale * np.expm1(-np.abs(t)), weights)
-    return np.arctan2(np.sqrt(np.maximum(sin_sq, 0.0)), np.abs(np.sum(weights * e, axis=-1)))
+    norm = (np.abs(np.sum(weights, axis=-1)) ** 2
+            + _form(weights, np.expm1(exponent), weights))
+    return (np.arctan2(np.sqrt(np.maximum(sin_sq, 0.0)), np.abs(np.sum(weights * e, axis=-1))),
+            norm)
 
 
 def mixture_angle(kicks, weights, delta):

@@ -65,13 +65,16 @@ class Observable:
             raise InvalidData(f"matrix entry ({labels[i]}, {labels[j]}) is not finite: {m[i, j]}")
         herm = m.conj().T
         residue = np.max(np.abs(m - herm))
-        if residue > HERMITICITY_TOL * np.max(np.abs(m)):
+        scale = np.max(np.abs(m))
+        if residue > HERMITICITY_TOL * scale:
             raise InvalidData("matrix is not equal to its conjugate transpose")
         if residue:
             m = m * 0.5 + herm * 0.5  # halved first, so no entry can overflow
+            scale = np.max(np.abs(m))
         m.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_scale", scale)  # max|A| of the stored matrix
 
     @classmethod
     def diagonal(cls, labels: Sequence[int], values: Sequence[complex] | None = None) -> "Observable":
@@ -89,8 +92,11 @@ class Observable:
         once per observable; both arrays are read-only. Off-diagonal entries
         within DIAGONAL_TOL * max|A| of zero count as zero."""
         m = self.matrix
-        off = m - np.diag(np.diagonal(m))
-        if np.max(np.abs(off)) <= DIAGONAL_TOL * np.max(np.abs(m)):
+        n = len(m)
+        # the off-diagonal entries: the flat matrix past its first entry,
+        # as rows of n + 1 that each end on the next diagonal entry
+        off = m.reshape(-1)[1:].reshape(n - 1, n + 1)[:, :n]
+        if np.abs(off).max(initial=0.0) <= DIAGONAL_TOL * self._scale:
             vals, vecs = np.real(np.diagonal(m)).copy(), None
         else:
             vals, vecs = np.linalg.eigh(m)

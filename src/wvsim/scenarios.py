@@ -13,7 +13,6 @@ while the expectation-value mixture stays O(eps) away.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
@@ -24,7 +23,7 @@ import numpy as np
 from . import pointer
 from .errors import InvalidData, OrthogonalSelection
 from .measurement import (DEFAULT_OVERLAP_FLOOR, CouplingConfig, _finite_columns,
-                          branch_weights, shift_angles, weak_value, weakness)
+                          branch_weights, shift_sweep, weak_value, weakness)
 from .qstate import Observable, SystemState, expectation, make_state, normalize
 
 DEFAULT_EPSILON_GRID = tuple(float(e) for e in np.geomspace(1e-3, 1e-2, 8))
@@ -56,17 +55,17 @@ class ScenarioSpec:
     epsilon_grid: Sequence[float] = DEFAULT_EPSILON_GRID
 
 
-def _checked_grid(grid: Iterable[float]) -> tuple[float, ...]:
-    """`grid` as a tuple of floats, which must be non-empty, positive, finite
+def _checked_grid(grid: Iterable[float]) -> np.ndarray:
+    """`grid` as one float array, which must be non-empty, positive, finite
     and strictly increasing."""
-    grid = tuple(map(float, grid))
-    if not grid:
+    eps = np.fromiter(grid, float)
+    if not eps.size:
         raise InvalidData("epsilon grid is empty")
-    if not (all(map(math.isfinite, grid)) and min(grid) > 0):
+    if not (np.isfinite(eps).all() and eps.min() > 0):
         raise InvalidData("epsilon grid values must be strictly positive and finite")
-    if not all(map(operator.lt, grid, grid[1:])):
+    if not (eps[1:] > eps[:-1]).all():
         raise InvalidData("epsilon grid must be strictly increasing")
-    return grid
+    return eps
 
 
 class ComparisonRow(NamedTuple):
@@ -162,10 +161,11 @@ def run_comparison(specs: Iterable[ScenarioSpec],
     if len(selected) != 1 or len(unselected) != 1:
         raise InvalidData("need exactly one post-selected and one pre-selected-only scenario")
     weak, expect = selected[0], unselected[0]
-    grid = _checked_grid(weak.epsilon_grid if epsilon_grid is None else epsilon_grid)
+    eps = _checked_grid(weak.epsilon_grid if epsilon_grid is None else epsilon_grid)
+    grid = eps.tolist()
     if ((weak.cfg.g, weak.cfg.delta) != (expect.cfg.g, expect.cfg.delta)
             or (epsilon_grid is None and expect.epsilon_grid is not weak.epsilon_grid
-                and tuple(map(float, expect.epsilon_grid)) != grid)):
+                and list(map(float, expect.epsilon_grid)) != grid)):
         raise InvalidData("scenarios must share g, delta and the epsilon grid")
     a_ref = weak_value(weak.pre, weak.post, weak.observable).real
     a_exp = expectation(expect.observable, expect.pre)
@@ -176,15 +176,18 @@ def run_comparison(specs: Iterable[ScenarioSpec],
     vals_x, born = branch_weights(expect.pre, None, expect.observable)
     g, delta = weak.cfg.g, weak.cfg.delta
     # first, as it rejects a smallest kick below the floor
-    d_weak = shift_angles(weak.pre, weak.post, weak.observable, g, delta, grid)
+    d_weak, norms = shift_sweep(weak.pre, weak.post, weak.observable, (vals, w, a_ref),
+                                g, delta, eps, grid)
     with _finite_columns(g, grid[-1], delta):
-        kick = g * np.array(grid)[:, None]
+        kick = g * eps
+        # the angle of the eigenvalue pointer, G_0 shifted by g*eps*a_ref
+        x = kick * a_ref / delta
         columns = (
-            pointer.angle(kick * a_ref, [1.0], delta),
+            np.arctan2(np.sqrt(-np.expm1(x * x / -4.0)), np.exp(x * x / -8.0)),
             d_weak,
-            pointer.mixture_angle(kick * (vals_x - a_ref), born, delta),
-            np.minimum(pointer.norm_sq(kick * vals, w, delta), 1.0),
-            weakness(kick * vals, w, delta),
+            pointer.mixture_angle(kick[:, None] * (vals_x - a_ref), born, delta),
+            np.minimum(norms, 1.0),
+            weakness(kick[:, None] * vals, w, delta),
         )
     return list(map(_comparison_row, zip(grid, *(c.tolist() for c in columns))))
 

@@ -75,17 +75,22 @@ def test_smoke_comparison_with_an_explicit_grid(workloads):
 
 
 def test_dense_operation_runs_the_shift_kernel_once_per_sweep(workloads, tmp_path, monkeypatch):
-    # two pointer.angle calls per case, both in run_comparison (d_eigen and
-    # d_weak_vs_eigen), and none in the per-eps effective_shift_check calls
+    # one pointer kernel call per case, in run_comparison (d_weak_vs_eigen and
+    # p_postselect together), and none in the per-eps effective_shift_check calls
     calls = []
-    angle = pointer.angle
-    monkeypatch.setattr(pointer, "angle", lambda *args: calls.append(1) or angle(*args))
+    kernel = pointer.angle_and_norm
+    monkeypatch.setattr(pointer, "angle_and_norm",
+                        lambda *args: calls.append(1) or kernel(*args))
     wl = workloads.WORKLOADS["dense_observables"](1, tmp_path)
     wl.prepare()
+    weak, expect = wl.specs(0)
+    scenarios.run_comparison([weak, expect])
+    assert len(calls) == 1
+    calls.clear()
     out = wl.op(0)
     assert len(out) == 7
     assert sum(len(shifts) for _, shifts in out) == 252
-    assert len(calls) == 14
+    assert len(calls) == 7
 
 
 def test_coverage_pass_finds_every_probe_but_the_stale_ones(tmp_path):

@@ -393,14 +393,14 @@ class TestSelectionMemo:
 
 @contextlib.contextmanager
 def counted_kernel_calls():
-    """The number of `pointer.angle` calls made inside the block, as a list
-    that grows by one per call."""
-    calls, angle = [], kernel.angle
-    kernel.angle = lambda *args: calls.append(1) or angle(*args)
+    """The number of `pointer.angle_and_norm` calls made inside the block, as
+    a list that grows by one per call."""
+    calls, angle_and_norm = [], kernel.angle_and_norm
+    kernel.angle_and_norm = lambda *args: calls.append(1) or angle_and_norm(*args)
     try:
         yield calls
     finally:
-        kernel.angle = angle
+        kernel.angle_and_norm = angle_and_norm
 
 
 def _fresh_check(pre, post, a, c):

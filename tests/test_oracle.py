@@ -38,6 +38,7 @@ from wvsim.scenarios import (
     WEAK_ONE_OBSERVABLE,
     WEAK_ONE_POST,
     WEAK_ONE_PRE,
+    ScenarioSpec,
     amplification_sweep,
     expectation_scenario,
     fit_power_law,
@@ -52,6 +53,12 @@ WEAK_FLOOR = 5e-15       # d_weak_vs_eigen relative error times eps^2; measured 
 # d_weak_vs_eigen relative error over the condition number of its first
 # moment, for complex selections; measured worst 2.8e-16
 MOMENT_TOL = 5e-16
+# relative error over sum_j |w_j| / |sum_j w_j|, the condition number of the
+# selection amplitude, for complex selections at g, delta = 1, 1 and 1.7, 0.6:
+# p_postselect, measured worst 3.7e-16, and d_eigen, which is as accurate as
+# Re(A_w) is, measured worst 8.7e-16
+P_SELECTION_TOL = 4e-16
+EIGEN_SELECTION_TOL = 1e-15
 # fit_power_law against exact least squares, from np.polyfit's measured
 # worst (1.65e-15, 5.49e-15 and 1.55e-14): the line may not get less accurate
 FIT_EXPONENT_TOL = 2e-15
@@ -128,7 +135,8 @@ def test_weak_vs_eigen_angle_of_complex_selections(d):
         values = np.sort(rng.uniform(-1.0, 1.0, d)).tolist()
         obs = Observable.diagonal(range(d), values)
         vals, w = branch_weights(pre, post, obs)
-        moment = w * (vals - weak_value(pre, post, obs).real)
+        aw = weak_value(pre, post, obs).real
+        moment = w * (vals - aw)
         kappa = np.sum(np.abs(moment)) / abs(np.sum(moment))
         angles = shift_angles(pre, post, obs, 1.0, 1.0, GRID)
         for eps, got in zip(GRID, angles):
@@ -136,6 +144,26 @@ def test_weak_vs_eigen_angle_of_complex_selections(d):
                                             pre.amplitudes, values, 1.0, 1.0, eps)
             err = mporacle.rel_error(got, exact["d_weak_vs_eigen"])
             assert err <= MOMENT_TOL * kappa, (eps, kappa)
+        # the post-selection probability, from the same kernel call as the
+        # shift angles, and the closed-form d_eigen, on a grid that straddles
+        # the series switch (u / 2 delta)^2 = 0.02 of the shifted kicks
+        kappa_w = np.sum(np.abs(w)) / abs(np.sum(w))
+        mean = float(np.abs(pre.vector) ** 2 @ vals)
+        partner = Observable.diagonal(range(d), [v + (aw - mean) for v in values])
+        for g, delta in ((1.0, 1.0), (1.7, 0.6)):
+            switch = 2.0 * delta * math.sqrt(0.02) / (g * np.max(np.abs(vals - aw)))
+            grid = sorted({*GRID, *(switch * f for f in (0.5, 0.999, 1.001, 2.0))})
+            cfg = CouplingConfig(g, grid[0], delta)
+            rows = run_comparison([ScenarioSpec("weak", pre, obs, cfg, post, grid),
+                                   ScenarioSpec("expect", pre, partner, cfg, None, grid)])
+            for row in rows:
+                exact = mporacle.comparison_row(pre.amplitudes, post.amplitudes, values,
+                                                pre.amplitudes, diagonal(partner), g, delta,
+                                                row.epsilon)
+                err = mporacle.rel_error(row.postselect_probability, exact["p_postselect"])
+                assert err <= P_SELECTION_TOL * kappa_w, (g, delta, row.epsilon, kappa_w)
+                err = mporacle.rel_error(row.d_eigen, exact["d_eigen"])
+                assert err <= EIGEN_SELECTION_TOL * kappa_w, (g, delta, row.epsilon, kappa_w)
 
 
 def test_weakness_is_expm1_exactly():
