@@ -158,8 +158,11 @@ def emit(out: str, text: str) -> None:
     if out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidData(f"cannot write output file {out}: {exc.strerror}") from None
 
 
 def render_table(comment: str, columns: tuple[str, ...], rows: list[tuple[str, ...]],

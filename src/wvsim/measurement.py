@@ -15,7 +15,7 @@ import sys
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,18 +150,6 @@ def shift_sweep(pre: SystemState, post: SystemState, a: Observable, selection,
     angles.flags.writeable = False
     _sweep = (pre, post, a, g, delta, aw, grid, angles)
     return angles, norms
-
-
-def shift_angles(pre: SystemState, post: SystemState, a: Observable,
-                 g: float, delta: float, grid: Sequence[float]) -> np.ndarray:
-    """Bures angle between the conditioned pointer and its rigid shift by
-    g*eps*Re(A_w), for each eps of `grid`: the `d_weak_vs_eigen` column, as a
-    read-only array, by `shift_sweep`; the grid must be strictly increasing
-    for a later `effective_shift_check` to find its eps there."""
-    vals, w = branch_weights(pre, post, a)
-    aw = weak_value(pre, post, a).real
-    eps = np.fromiter(grid, float)
-    return shift_sweep(pre, post, a, (vals, w, aw), g, delta, eps, eps.tolist())[0]
 
 
 def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,

@@ -5,7 +5,7 @@ width D centred at u, and <G_a|G_b> = exp(-(a - b)^2 / (8 D^2)), so norms,
 moments and Bures angles carry no discretization error. A pointer is a pair
 of arrays: the kicks u_j and the weights w_j (amplitudes of a pure pointer, or
 probabilities of a mixture). Every function takes the terms along the last
-axis and broadcasts over the leading ones, one row per epsilon or selection.
+axis and broadcasts over the leading ones, one row per epsilon.
 
 Each quantity is written without cancellation in the weak regime (kicks small
 against D): departures from zero-kick values go through expm1, and each angle
@@ -49,8 +49,9 @@ _FACTORIALS = np.array([float(math.factorial(n)) for n in range(1, _SERIES_TERMS
 
 def angle_and_norm(kicks, weights, delta):
     """(Bures angle in [0, pi/2] to G_0, squared norm) of the pure pointer
-    sum_j w_j G_{u_j}, from one pass over its terms; the weights need not be
-    normalized.
+    sum_j w_j G_{u_j}, from one pass over its terms: one row per leading
+    index of the kicks, all sharing the one weight vector, of shape (d,),
+    which need not be normalized.
 
     With e_j = <G_0|G_{u_j}> = exp(-u_j^2 / 8D^2), the cosine of the angle is
     |sum_j w_j e_j| and the sine sqrt(w^H C w), both over the norm, where
@@ -74,15 +75,10 @@ def angle_and_norm(kicks, weights, delta):
     """
     x = np.asarray(kicks, dtype=float) / delta
     w = np.asarray(weights)
-    if w.ndim > 1 or w.shape != x.shape[-1:]:
-        x, w = np.broadcast_arrays(x, w)
     lead, d = x.shape[:-1], x.shape[-1]
     if d <= 1:
         return _gram(x, w)
     x = x.reshape(-1, d)
-    per_row = w.ndim > 1
-    if per_row:
-        w = w.reshape(x.shape)
     y = np.multiply(x.T, 0.5, order="C")
     yy = y * y
     series = np.max(yy, axis=0) <= _SERIES_T_MAX
@@ -90,26 +86,15 @@ def angle_and_norm(kicks, weights, delta):
         out = _series(y, yy, w)
     else:
         out = np.empty((2, len(x)))
-        out[:, series] = _series(y[:, series], yy[:, series], w[series] if per_row else w)
-        out[:, ~series] = _gram(x[~series], w[~series] if per_row else w)
+        out[:, series] = _series(y[:, series], yy[:, series], w)
+        out[:, ~series] = _gram(x[~series], w)
     return out[0].reshape(lead)[()], out[1].reshape(lead)[()]
-
-
-def angle(kicks, weights, delta):
-    """Bures angle in [0, pi/2] between the pure pointer sum_j w_j G_{u_j}
-    and G_0: the first half of `angle_and_norm`."""
-    return angle_and_norm(kicks, weights, delta)[0]
-
-
-def norm_sq(kicks, weights, delta):
-    """||sum_j w_j G_{u_j}||^2: the second half of `angle_and_norm`."""
-    return angle_and_norm(kicks, weights, delta)[1]
 
 
 def _series(y, yy, w):
     """`angle_and_norm` by the series, for kicks u_j = 2D y_j given as y and
-    y^2 with the terms along the first axis, and weights w of shape (d,) or
-    (rows, d). The n = 0 sum, sum_j w_j e_j, is the cosine."""
+    y^2 with the terms along the first axis, and weights w of shape (d,).
+    The n = 0 sum, sum_j w_j e_j, is the cosine."""
     h = yy * -0.5
     q = np.empty((len(y), _SERIES_TERMS + 2) + y.shape[1:])
     np.exp(h, out=q[:, 0])
@@ -121,7 +106,7 @@ def _series(y, yy, w):
     # arrays, and numpy reduces such an axis slice by slice (pairwise summation
     # runs only along the fastest), so each sum runs over j in order and a
     # row's sums do not depend on the other rows.
-    w_j = w.T.reshape(len(y), 1, -1)
+    w_j = w.reshape(-1, 1, 1)
     re = np.add.reduce(q * w_j.real, axis=0)
     im = np.add.reduce(np.multiply(q, w_j.imag, out=q), axis=0)
     sq = re * re + im * im
@@ -129,7 +114,7 @@ def _series(y, yy, w):
     sin_sq = terms[-1].copy()
     for n in range(_SERIES_TERMS - 2, -1, -1):
         sin_sq += terms[n]
-    total = np.sum(w, axis=-1)
+    total = np.sum(w)
     cross = 2.0 * (total.real * re[-1] + total.imag * im[-1])
     norm = np.abs(total) ** 2 + (cross + (sq[-1] + sin_sq))
     return np.arctan2(np.sqrt(sin_sq), np.sqrt(sq[0])), norm
@@ -160,9 +145,10 @@ def mixture_angle(kicks, weights, delta):
 
 def mean_position(kicks, weights, delta):
     """<Q> of the normalized pointer, from <G_a|Q|G_b> = ((a + b)/2) <G_a|G_b>:
-    Re[conj(sum_j w_j u_j) sum_k w_k + (w u)^H (S - 1) w] / norm_sq."""
+    Re[conj(sum_j w_j u_j) sum_k w_k + (w u)^H (S - 1) w] over the squared
+    norm of `angle_and_norm`."""
     x = np.asarray(kicks, dtype=float) / delta
     wx = weights * x
     num = ((np.conj(np.sum(wx, axis=-1)) * np.sum(weights, axis=-1)).real
            + _form(wx, np.expm1(_gram_exponent(x)), weights))
-    return delta * num / norm_sq(kicks, weights, delta)
+    return delta * num / angle_and_norm(kicks, weights, delta)[1]

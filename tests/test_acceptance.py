@@ -11,7 +11,7 @@ import numpy as np
 from gridoracle import grid_cos_angle, grid_overlap
 from wvsim.cli import main
 from wvsim.measurement import CouplingConfig, branch_weights, effective_shift_check, weak_value
-from wvsim.pointer import angle, norm_sq
+from wvsim.pointer import angle_and_norm
 from wvsim.qstate import Observable, expectation, make_state
 from wvsim.scenarios import (
     amplification_sweep,
@@ -73,7 +73,7 @@ def test_criterion_4_expectation_vs_eigen_distance():
 def test_criterion_5_postselection_probability():
     spec = weak_value_one_scenario(CFG)
     vals, weights = branch_weights(spec.pre, spec.post, spec.observable)
-    p = norm_sq(1e-4 * vals, weights, 1.0)
+    p = angle_and_norm(1e-4 * vals, weights, 1.0)[1]
     report(5, "post-selection probability", abs(p - 0.1) <= 1e-4,
            f"p={p:.10f}, |p-0.1|={abs(p - 0.1):.2e} <= 1e-4")
 
@@ -107,7 +107,7 @@ def test_criterion_7_c_number_replacement():
     cfg = CouplingConfig(g=1.0, epsilon=1e-3, delta=1.0)
     check = effective_shift_check(spec.pre, spec.post, spec.observable, cfg)
     vals, weights = branch_weights(spec.pre, spec.post, spec.observable)
-    moved = angle(cfg.g * cfg.epsilon * vals, weights, cfg.delta)
+    moved = angle_and_norm(cfg.g * cfg.epsilon * vals, weights, cfg.delta)[0]
     ratio = check.distance / moved
     report(7, "c-number replacement", ratio < 0.02,
            f"distance-to-ideal / distance-moved = {ratio:.2e} < 0.02")
@@ -155,7 +155,7 @@ def test_criterion_9_property_suite(capsys):
     total = 0.0
     for k in range(5):
         vals, weights = branch_weights(pre, make_state(list(zip(labels, q[:, k]))), a)
-        total += norm_sq(cfg.g * cfg.epsilon * vals, weights, cfg.delta)
+        total += angle_and_norm(cfg.g * cfg.epsilon * vals, weights, cfg.delta)[1]
     parts.append(("completeness", abs(total - 1.0) <= 1e-10))
 
     # Bures angles stay inside [0, pi/2]

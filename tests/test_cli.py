@@ -1,16 +1,18 @@
 """Command-line interface: grammar, CSV contract, exit codes, determinism."""
 
 import contextlib
+import errno
 import io
 import json
 import math
+import os
 import re
 import shlex
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mporacle
@@ -20,10 +22,12 @@ from wvsim.cli import (
     main,
     parse_amplitude,
     parse_grid_spec,
+    parse_observable_spec,
     parse_state_spec,
 )
 from wvsim.errors import InvalidData
 from wvsim.measurement import CouplingConfig
+from wvsim.qstate import expectation
 from wvsim.scenarios import AmplificationRow, ComparisonRow, spin_amplification_scenario
 
 COMPARE_HEADER = "epsilon,d_eigen,d_weak_vs_eigen,d_expect_vs_eigen,p_postselect,weakness"
@@ -265,6 +269,18 @@ class TestCompareCommand:
         assert b"\r" not in raw
         assert raw.decode("utf-8").splitlines()[1] == COMPARE_HEADER
 
+    @pytest.mark.parametrize("argv", [
+        ["compare"],
+        ["weak-value", "--pre=-1:1,0:1", "--post=-1:1,0:-2", "--obs", "diag"],
+    ])
+    def test_unwritable_out_path_exits_2(self, capsys, tmp_path, argv):
+        # a missing directory, and a directory where the file should go
+        for target, code in ((tmp_path / "missing" / "x.csv", errno.ENOENT),
+                             (tmp_path, errno.EISDIR)):
+            assert run(capsys, *argv, "--out", str(target)) == (
+                2, "", f"wvsim: error: cannot write output file {target}: {os.strerror(code)}\n")
+            assert list(tmp_path.iterdir()) == []
+
     def test_pretty_format(self, capsys):
         code, out, _ = run(capsys, "compare", "--eps", "0.01", "--format", "pretty")
         assert code == 0
@@ -359,6 +375,120 @@ class TestAmplifyCommand:
         for row in rows:
             assert all(math.isfinite(float(cell)) for cell in row[:3])
             assert 0.0 <= float(row[2]) <= 1.0
+
+
+def invoke(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# amplitude parts in [-2, 2]; those below 1e-280 are zero, so that scaling by
+# 2^k for |k| <= 30 stays exact (a subnormal part would lose bits)
+parts = st.floats(-2.0, 2.0).map(lambda x: 0.0 if abs(x) < 1e-280 else x)
+amplitudes = st.builds(complex, parts, parts)
+WEAK_VALUE_OUTPUT = re.compile(r"(-?\d+\.\d{12}) ([+-]) (\d+\.\d{12})i\n")
+ORTHOGONAL_ERROR = re.compile(r"wvsim: \|<post\|pre>\| = \S+ at or below floor 1\.000e-12\n")
+# the exit-2 errors of `compare` that README lists
+COMPARE_ERRORS = re.compile(
+    r"wvsim: error: (g\*epsilon/delta is out of floating-point range for g=\S+, "
+    r"epsilon=\S+, delta=\S+"
+    r"|epsilon grid must be strictly increasing"
+    r"|epsilon grid '\S+' has neighbouring points that both print as \S+"
+    r"|power-law fit needs abscissae whose logs spread at least 1e-06, got \S+)\n")
+
+
+def state_spec(amps, scale=1.0):
+    """`--pre`/`--post` text for amplitudes on labels 0, 1, ..., each times scale."""
+    def amp(z):
+        sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"
+        return f"{z.real * scale!r}{sign}{abs(z.imag) * scale!r}i"
+    return ",".join(f"{j}:{amp(z)}" for j, z in enumerate(amps))
+
+
+@st.composite
+def selections(draw):
+    """(pre amplitudes, post amplitudes, observable spec) in dimension 1-4,
+    neither state all zero; half of the posts in dimension 2 or more are
+    (-conj(pre_1), conj(pre_0), 0, ...), orthogonal to pre."""
+    d = draw(st.integers(1, 4))
+    states = st.lists(amplitudes, min_size=d, max_size=d).filter(any)
+    obs = draw(st.sampled_from(["diag", *(f"proj:{j}" for j in range(d))]))
+    pre = draw(states)
+    if d >= 2 and draw(st.booleans()):
+        post = [-pre[1].conjugate(), pre[0].conjugate()] + [0j] * (d - 2)
+        assume(any(post))
+    else:
+        post = draw(states)
+    return pre, post, obs
+
+
+class TestCommandProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(selection=selections(), k=st.integers(-30, 30), scaled=st.sampled_from(["pre", "post"]))
+    def test_weak_value_is_finite_or_orthogonal_and_scale_invariant(self, selection, k, scaled):
+        pre, post, obs = selection
+        argv = ["weak-value", f"--pre={state_spec(pre)}", f"--post={state_spec(post)}",
+                "--obs", obs]
+        code, out, err = invoke(argv)
+        if code == 3:
+            assert out == "" and ORTHOGONAL_ERROR.fullmatch(err), err
+        else:
+            assert (code, err) == (0, "")
+            re_part, _, im_part = WEAK_VALUE_OUTPUT.fullmatch(out).groups()
+            assert math.isfinite(float(re_part)) and math.isfinite(float(im_part))
+        # normalisation rescales by an exact power of two, so 2^k times
+        # either state is the same selection, to the byte
+        pre_spec, post_spec = ((state_spec(pre, 2.0 ** k), state_spec(post)) if scaled == "pre"
+                               else (state_spec(pre), state_spec(post, 2.0 ** k)))
+        assert invoke(["weak-value", f"--pre={pre_spec}", f"--post={post_spec}",
+                       "--obs", obs]) == (code, out, err)
+
+    @settings(max_examples=60, deadline=None)
+    @given(selection=selections())
+    def test_weak_value_of_pre_as_post_is_the_expectation(self, selection):
+        pre, _, obs = selection
+        spec = state_spec(pre)
+        code, out, err = invoke(["weak-value", f"--pre={spec}", f"--post={spec}", "--obs", obs])
+        assert (code, err) == (0, "")
+        re_part, sign, im_part = WEAK_VALUE_OUTPUT.fullmatch(out).groups()
+        state = parse_state_spec(spec)
+        mean = expectation(parse_observable_spec(obs, state.labels), state)
+        # within one unit of the last printed decimal
+        assert abs(float(re_part) - mean) <= 1e-12
+        assert float(im_part) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=st.floats(-150.0, 150.0), delta=st.floats(-150.0, 150.0),
+           lo=st.floats(-8.0, 2.0), ratio=st.floats(1.0001, 1e6),
+           n=st.integers(2, 12), kind=st.sampled_from(["log", "lin"]))
+    def test_compare_is_finite_and_in_range_or_a_documented_error(self, g, delta, lo, ratio,
+                                                                  n, kind):
+        lo = 10.0 ** lo
+        grid = f"{lo!r}:{lo * ratio!r}:{n}:{kind}"
+        code, out, err = invoke(["compare", "--g", repr(10.0 ** g),
+                                 "--delta", repr(10.0 ** delta), "--eps-grid", grid])
+        if code == 2:
+            assert out == "" and COMPARE_ERRORS.fullmatch(err), err
+            return
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[1] == COMPARE_HEADER
+        rows = [list(map(float, line.split(","))) for line in lines[2:2 + n]]
+        assert len(rows) == n
+        for eps, *angles, p, weakness in rows:
+            assert all(math.isfinite(x) for x in (eps, *angles, p, weakness))
+            assert all(0.0 <= a <= math.pi / 2 for a in angles)
+            assert 0.0 <= p <= 1.0
+            assert weakness >= 0.0
+        trailers = lines[2 + n:]
+        assert len(trailers) == (3 if n >= 4 else 0)
+        for line in trailers:
+            values = re.fullmatch(r"# fit \w+: exponent=(\S+) coefficient=(\S+) residual=(\S+)",
+                                  line).groups()
+            assert all(math.isfinite(float(v)) for v in values)
 
 
 class TestConfigFile:

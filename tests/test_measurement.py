@@ -16,11 +16,11 @@ from wvsim.measurement import (
     CouplingConfig,
     branch_weights,
     effective_shift_check,
-    shift_angles,
+    shift_sweep,
     weak_value,
     weakness,
 )
-from wvsim.pointer import angle, mean_position, mixture_angle, norm_sq
+from wvsim.pointer import angle_and_norm, mean_position, mixture_angle
 from wvsim.qstate import Observable, SystemState, expectation, inner, make_state
 from wvsim.scenarios import ScenarioSpec, run_comparison
 
@@ -40,7 +40,7 @@ def pointer(pre, post, a, c):
 
 
 def probability(pre, post, a, c):
-    return norm_sq(*pointer(pre, post, a, c), c.delta)
+    return angle_and_norm(*pointer(pre, post, a, c), c.delta)[1]
 
 
 def weakness_of(pre, post, a, c):
@@ -125,8 +125,9 @@ class TestCouple:
     def test_vanishing_coupling_limit_is_product_state(self):
         kicks, weights = pointer(PRE3, PRE3, A3, cfg(eps=1e-15))
         assert max(abs(mu) for mu in kicks) <= 1e-15
-        assert norm_sq(kicks, weights, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert angle(kicks, weights, 1.0) < 1e-12
+        angle, norm = angle_and_norm(kicks, weights, 1.0)
+        assert norm == pytest.approx(1.0, abs=1e-12)
+        assert angle < 1e-12
 
     def test_non_diagonal_observable_goes_through_eigenbasis(self):
         sigma_x = Observable((0, 1), np.array([[0, 1], [1, 0]], dtype=complex))
@@ -137,7 +138,7 @@ class TestCouple:
         kicks, weights = pointer(pre, pre, sigma_x, cfg())
         # (G_+ + G_-)/norm: symmetric, and P(0) = (1 + exp(-(2 g eps)^2/8))/2
         assert mean_position(kicks, weights, 1.0) == pytest.approx(0.0, abs=1e-12)
-        assert norm_sq(kicks, weights, 1.0) == pytest.approx(
+        assert angle_and_norm(kicks, weights, 1.0)[1] == pytest.approx(
             (1 + math.exp(-0.02 ** 2 / 8)) / 2, abs=1e-14)
 
 
@@ -150,7 +151,8 @@ class TestPostSelect:
         np.testing.assert_allclose(weights / weights[1], [-0.5, 1.0, 0.0], atol=1e-14)
         # exact Gram-matrix probability: (5 - 4 exp(-(g eps)^2/8))/10
         s = math.exp(-(g * eps) ** 2 / 8)
-        assert norm_sq(kicks, weights, 1.0) == pytest.approx((5 - 4 * s) / 10, abs=1e-14)
+        assert angle_and_norm(kicks, weights, 1.0)[1] == pytest.approx(
+            (5 - 4 * s) / 10, abs=1e-14)
 
     def test_probability_approaches_selection_overlap_squared(self):
         for eps in (1e-3, 1e-4, 1e-5):
@@ -291,14 +293,17 @@ class TestEffectiveShiftCheck:
         with pytest.raises(InvalidData, match=r"g\*epsilon/delta is out of floating-point range"):
             effective_shift_check(PRE3, POST3, A3, CouplingConfig(g, eps, delta))
         with pytest.raises(InvalidData, match=r"g\*epsilon/delta is out of floating-point range"):
-            shift_angles(PRE3, POST3, A3, g, delta, (eps,))
+            _comparison(PRE3, POST3, A3, CouplingConfig(g, eps, delta), (eps,))
 
     def test_overflowing_ideal_centre_raises(self):
         # Re(A_w) = 100 and the kicks are g*eps*(a_j - Re(A_w)) = -+g*eps: the
         # recorded sweep is in range, the centre g*eps*Re(A_w) of the check is not
+        # (nor is d_eigen's, so run_comparison would reject this sweep)
         state = make_state([(0, 1), (1, 1)])
         a = Observable.diagonal((0, 1), [99.0, 101.0])
-        assert shift_angles(state, state, a, 1e307, 1e300, (1.0,)).tolist() == [math.pi / 2]
+        selection = (*branch_weights(state, state, a), weak_value(state, state, a).real)
+        angles, _ = shift_sweep(state, state, a, selection, 1e307, 1e300, np.array([1.0]), [1.0])
+        assert angles.tolist() == [math.pi / 2]
         with pytest.raises(InvalidData, match=r"g=1e\+307, epsilon=1.0, delta=1e\+300"):
             effective_shift_check(state, state, a, CouplingConfig(1e307, 1.0, 1e300))
 
@@ -306,7 +311,7 @@ class TestEffectiveShiftCheck:
         ratios = []
         for eps in (1e-2, 1e-3):
             check = effective_shift_check(PRE3, POST3, A3, cfg(eps))
-            moved = angle(*pointer(PRE3, POST3, A3, cfg(eps)), 1.0)
+            moved = angle_and_norm(*pointer(PRE3, POST3, A3, cfg(eps)), 1.0)[0]
             ratios.append(check.distance / moved)
         assert ratios[1] < 0.2 * ratios[0]
 
@@ -410,7 +415,7 @@ def _fresh_check(pre, post, a, c):
 
 class TestShiftSweep:
     """`effective_shift_check` reads the distance from the last sweep of
-    `shift_angles`, which `run_comparison` makes for its d_weak_vs_eigen
+    `shift_sweep`, which `run_comparison` makes for its d_weak_vs_eigen
     column, and computes it afresh otherwise; both give the same bits."""
 
     @settings(max_examples=40, deadline=None)
@@ -483,7 +488,8 @@ class TestShiftSweep:
         grid = tuple(np.geomspace(1e-3, 1e-1, 9).tolist())
         c = cfg(grid[0], g=0.8, delta=1.7)
         column = [r.d_weak_vs_eigen for r in _comparison(pre, post, a, c, grid)]
-        angles = shift_angles(pre, post, a, c.g, c.delta, grid)
+        selection = (*branch_weights(pre, post, a), weak_value(pre, post, a).real)
+        angles, _ = shift_sweep(pre, post, a, selection, c.g, c.delta, np.array(grid), list(grid))
         assert angles.tolist() == column
         with pytest.raises(ValueError):
             angles[0] = 1.0
@@ -491,14 +497,15 @@ class TestShiftSweep:
     def test_orthogonal_selection_raises_on_the_grid(self):
         pre, post, a = _dense_selection(25, 3)
         grid = (1e-3, 1e-2)
-        shift_angles(pre, post, a, 1.0, 1.0, grid)
+        _comparison(pre, post, a, cfg(grid[0]), grid)
         sweep = measurement._sweep
         up, down = make_state([(0, 1), (1, 0), (2, 0)]), make_state([(0, 0), (1, 1), (2, 0)])
         for _ in range(2):
             with pytest.raises(OrthogonalSelection, match="at or below floor"):
                 effective_shift_check(up, down, a, cfg(grid[0]))
             with pytest.raises(OrthogonalSelection, match="at or below floor"):
-                shift_angles(up, down, a, 1.0, 1.0, grid)
+                run_comparison([ScenarioSpec("weak", up, a, cfg(grid[0]), down, grid),
+                                ScenarioSpec("expect", up, a, cfg(grid[0]), None, grid)])
         assert measurement._sweep is sweep
 
 
@@ -509,8 +516,8 @@ class TestScalingLaw:
             kicks, weights = pointer(PRE3, POST3, A3, cfg(eps))
             kicks_x, born = pointer(make_state([(0, 1), (1, 0), (2, 1)]), None,
                                     Observable.diagonal((0, 1, 2)), cfg(eps))
-            d_ref = angle([g * eps], [1.0], 1.0)
-            assert angle(kicks - g * eps, weights, 1.0) / d_ref < 0.05
+            d_ref = angle_and_norm([g * eps], [1.0], 1.0)[0]
+            assert angle_and_norm(kicks - g * eps, weights, 1.0)[0] / d_ref < 0.05
             assert mixture_angle(kicks_x - g * eps, born, 1.0) / d_ref == pytest.approx(
                 1.0, rel=1e-3)
 

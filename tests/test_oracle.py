@@ -30,7 +30,6 @@ from wvsim.measurement import (
     CouplingConfig,
     branch_weights,
     effective_shift_check,
-    shift_angles,
     weak_value,
 )
 from wvsim.qstate import Observable, make_state
@@ -138,18 +137,20 @@ def test_weak_vs_eigen_angle_of_complex_selections(d):
         aw = weak_value(pre, post, obs).real
         moment = w * (vals - aw)
         kappa = np.sum(np.abs(moment)) / abs(np.sum(moment))
-        angles = shift_angles(pre, post, obs, 1.0, 1.0, GRID)
-        for eps, got in zip(GRID, angles):
+        mean = float(np.abs(pre.vector) ** 2 @ vals)
+        partner = Observable.diagonal(range(d), [v + (aw - mean) for v in values])
+        cfg = CouplingConfig(1.0, GRID[0], 1.0)
+        rows = run_comparison([ScenarioSpec("weak", pre, obs, cfg, post, GRID),
+                               ScenarioSpec("expect", pre, partner, cfg, None, GRID)])
+        for eps, row in zip(GRID, rows):
             exact = mporacle.comparison_row(pre.amplitudes, post.amplitudes, values,
                                             pre.amplitudes, values, 1.0, 1.0, eps)
-            err = mporacle.rel_error(got, exact["d_weak_vs_eigen"])
+            err = mporacle.rel_error(row.d_weak_vs_eigen, exact["d_weak_vs_eigen"])
             assert err <= MOMENT_TOL * kappa, (eps, kappa)
         # the post-selection probability, from the same kernel call as the
         # shift angles, and the closed-form d_eigen, on a grid that straddles
         # the series switch (u / 2 delta)^2 = 0.02 of the shifted kicks
         kappa_w = np.sum(np.abs(w)) / abs(np.sum(w))
-        mean = float(np.abs(pre.vector) ** 2 @ vals)
-        partner = Observable.diagonal(range(d), [v + (aw - mean) for v in values])
         for g, delta in ((1.0, 1.0), (1.7, 0.6)):
             switch = 2.0 * delta * math.sqrt(0.02) / (g * np.max(np.abs(vals - aw)))
             grid = sorted({*GRID, *(switch * f for f in (0.5, 0.999, 1.001, 2.0))})
@@ -294,19 +295,32 @@ def test_kicks_past_the_smallest_lose_printed_digits(monkeypatch):
 
 
 @pytest.mark.parametrize("eps", [1e-80, 1e-100, math.nextafter(COMPARISON_MIN_KICK, 0.0)])
-def test_shift_angles_reject_kicks_below_the_floor(eps):
-    # the floor holds for every caller of the shift kernel, not only for
-    # run_comparison: a sweep and a one-eps check that misses the sweep
+def test_shift_angles_reject_kicks_below_the_floor(eps, monkeypatch):
+    # the floor holds for every entry to the shift kernel: a sweep, which
+    # checks its grid first, and a one-eps check, whether or not it follows
+    # a sweep of the same selection
+    def canonical(grid):
+        cfg = CouplingConfig(1.0, grid[0], 1.0)
+        return run_comparison([weak_value_one_scenario(cfg, grid),
+                               expectation_scenario(cfg, grid)])
+
     exact = mporacle.comparison_row(WEAK_ONE_PRE.amplitudes, WEAK_ONE_POST.amplitudes,
                                     diagonal(WEAK_ONE_OBSERVABLE), WEAK_ONE_PRE.amplitudes,
                                     diagonal(WEAK_ONE_OBSERVABLE), 1.0, 1.0,
                                     COMPARISON_MIN_KICK)["d_weak_vs_eigen"]
-    (at_floor,) = shift_angles(WEAK_ONE_PRE, WEAK_ONE_POST, WEAK_ONE_OBSERVABLE, 1.0, 1.0,
-                               (COMPARISON_MIN_KICK,))
-    assert mporacle.rel_error(at_floor, exact) <= PRINTED_TOL  # measured 3.6e-15
+    (at_floor,) = canonical((COMPARISON_MIN_KICK,))
+    assert mporacle.rel_error(at_floor.d_weak_vs_eigen, exact) <= PRINTED_TOL  # measured 3.6e-15
     out_of_range = r"^g\*epsilon/delta is out of floating-point range"
     with pytest.raises(InvalidData, match=out_of_range):
-        shift_angles(WEAK_ONE_PRE, WEAK_ONE_POST, WEAK_ONE_OBSERVABLE, 1.0, 1.0, (eps, 1e-3))
+        canonical((eps, 1e-3))
+    # the same kicks out of order: the grid check names the order, so the
+    # floor, which the sweep checks at the first eps, is never skipped
+    with pytest.raises(InvalidData, match="^epsilon grid must be strictly increasing$"):
+        canonical((1e-3, 1e-80))
+    check = CouplingConfig(1.0, eps, 1.0)
+    canonical((1e-3, 1e-2))
     with pytest.raises(InvalidData, match=out_of_range):
-        effective_shift_check(WEAK_ONE_PRE, WEAK_ONE_POST, WEAK_ONE_OBSERVABLE,
-                              CouplingConfig(1.0, eps, 1.0))
+        effective_shift_check(WEAK_ONE_PRE, WEAK_ONE_POST, WEAK_ONE_OBSERVABLE, check)
+    monkeypatch.setattr(measurement, "_sweep", None)
+    with pytest.raises(InvalidData, match=out_of_range):
+        effective_shift_check(WEAK_ONE_PRE, WEAK_ONE_POST, WEAK_ONE_OBSERVABLE, check)

@@ -17,7 +17,7 @@ from gridoracle import grid_cos_angle, grid_inner, grid_overlap, to_grid
 from wvsim import pointer
 from wvsim.errors import InvalidData
 from wvsim.measurement import CouplingConfig
-from wvsim.pointer import angle, mean_position, mixture_angle, norm_sq
+from wvsim.pointer import angle_and_norm, mean_position, mixture_angle
 
 EXP_MINUS_HALF = 0.6065306597126334       # exp(-0.5) = exp(-(2-0)^2/8)
 EXP_SMALL_SHIFT = 0.9999875000781246      # exp(-0.01^2/8)
@@ -29,7 +29,12 @@ PHI_W = ([0.0, -0.01], [2.0, -1.0])
 def unit(kicks, weights, delta=1.0):
     """The same pointer with weights rescaled to unit norm."""
     w = np.asarray(weights, dtype=complex)
-    return kicks, w / math.sqrt(norm_sq(kicks, w, delta))
+    return kicks, w / math.sqrt(angle_and_norm(kicks, w, delta)[1])
+
+
+def quantities(kicks, weights, delta):
+    """(angle, squared norm, mean position) of a pure pointer."""
+    return (*angle_and_norm(kicks, weights, delta), mean_position(kicks, weights, delta))
 
 
 def shifted(pointer, center):
@@ -40,15 +45,16 @@ def shifted(pointer, center):
 
 class TestGaussian:
     def test_unit_self_overlap(self):
-        assert norm_sq([0.0], [1.0], 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert angle_and_norm([0.0], [1.0], 1.0)[1] == pytest.approx(1.0, abs=1e-14)
 
     def test_shifted_state_is_the_same_gaussian_moved(self):
-        assert norm_sq([0.01], [1.0], 1.0) == pytest.approx(1.0, abs=1e-14)
-        assert angle(*shifted(([0.01], [1.0]), 0.01), 1.0) == 0.0
+        assert angle_and_norm([0.01], [1.0], 1.0)[1] == pytest.approx(1.0, abs=1e-14)
+        assert angle_and_norm(*shifted(([0.01], [1.0]), 0.01), 1.0)[0] == 0.0
         assert mean_position([0.01], [1.0], 1.0) == pytest.approx(0.01, abs=1e-15)
 
     def test_two_sigma_overlap(self):
-        assert math.cos(angle([2.0], [1.0], 1.0)) == pytest.approx(EXP_MINUS_HALF, rel=1e-14)
+        assert math.cos(angle_and_norm([2.0], [1.0], 1.0)[0]) == pytest.approx(
+            EXP_MINUS_HALF, rel=1e-14)
 
     def test_nonpositive_width_rejected(self):
         # the width reaches the kernel only through CouplingConfig
@@ -60,51 +66,54 @@ class TestGaussian:
 
 class TestOverlap:
     def test_identical_states(self):
-        assert norm_sq(*unit(*PHI_W), 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert angle_and_norm(*unit(*PHI_W), 1.0)[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_small_shift_value(self):
-        assert math.cos(angle([0.01], [1.0], 1.0)) == pytest.approx(EXP_SMALL_SHIFT, rel=1e-14)
+        assert math.cos(angle_and_norm([0.01], [1.0], 1.0)[0]) == pytest.approx(
+            EXP_SMALL_SHIFT, rel=1e-14)
 
     def test_far_separated_gaussians_vanish(self):
         # the cosine |<G_0|G_100>| = exp(-1250) underflows to exactly 0
-        assert angle([100.0], [1.0], 1.0) == math.pi / 2
+        assert angle_and_norm([100.0], [1.0], 1.0)[0] == math.pi / 2
 
 
 class TestSuperpose:
     def test_conditioned_pointer_norm_and_mean(self):
-        assert norm_sq(*unit(*PHI_W), 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert angle_and_norm(*unit(*PHI_W), 1.0)[1] == pytest.approx(1.0, abs=1e-12)
         # effectively a Gaussian moved to the weak value: mean ~ g*eps*1
         assert mean_position(*PHI_W, 1.0) == pytest.approx(0.01, rel=1e-3)
 
     def test_zero_coefficient_is_identity(self):
         padded = ([0.0, -0.01, 3.0], [2.0, -1.0, 0.0])
-        for f in (norm_sq, angle, mean_position):
-            assert abs(f(*padded, 1.0) - f(*PHI_W, 1.0)) < 1e-14
+        for got, want in zip(quantities(*padded, 1.0), quantities(*PHI_W, 1.0)):
+            assert abs(got - want) < 1e-14
 
     def test_exact_cancellation_has_zero_norm(self):
-        assert norm_sq([0.5, 0.5], [1.0, -1.0], 1.0) == 0.0
+        assert angle_and_norm([0.5, 0.5], [1.0, -1.0], 1.0)[1] == 0.0
 
     def test_normalization_idempotent(self):
-        for f in (angle, mean_position):
-            assert abs(f(*unit(*PHI_W), 1.0) - f(*PHI_W, 1.0)) < 1e-14
+        unit_angle, _, unit_mean = quantities(*unit(*PHI_W), 1.0)
+        angle, _, mean = quantities(*PHI_W, 1.0)
+        assert abs(unit_angle - angle) < 1e-14
+        assert abs(unit_mean - mean) < 1e-14
 
 
 class TestBuresPure:
     def test_eigenvalue_shift_distance(self):
         # arccos exp(-eps^2/8) = eps/2 + O(eps^3)
-        assert angle([0.01], [1.0], 1.0) == pytest.approx(0.005, abs=1e-7)
+        assert angle_and_norm([0.01], [1.0], 1.0)[0] == pytest.approx(0.005, abs=1e-7)
 
     def test_identical_states_have_zero_distance(self):
         # duplicate kicks need no merging: 2 G_0 - G_0 is G_0
-        assert angle([0.0, 0.0], [2.0, -1.0], 1.0) == pytest.approx(0.0, abs=1e-6)
+        assert angle_and_norm([0.0, 0.0], [2.0, -1.0], 1.0)[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_zero_iff_equal_up_to_global_phase(self):
         for phase in (-1.0, 1j, (0.6 - 0.8j)):
-            assert angle([0.0], [phase], 1.0) == pytest.approx(0.0, abs=1e-6)
-        assert angle(*shifted(PHI_W, 1.0), 1.0) > 0.1
+            assert angle_and_norm([0.0], [phase], 1.0)[0] == pytest.approx(0.0, abs=1e-6)
+        assert angle_and_norm(*shifted(PHI_W, 1.0), 1.0)[0] > 0.1
 
     def test_weak_vs_eigen_distance(self):
-        d = angle(*shifted(PHI_W, 0.01), 1.0)
+        d = angle_and_norm(*shifted(PHI_W, 0.01), 1.0)[0]
         assert d == pytest.approx(1e-4 / (2 * math.sqrt(2)), rel=0.05)
 
     def test_symmetry_and_range(self):
@@ -113,7 +122,8 @@ class TestBuresPure:
         for _ in range(50):
             kicks = rng.uniform(-3, 3, size=2)
             weights = rng.normal(size=2) + 1j * rng.normal(size=2)
-            d, d_mirror = angle(kicks, weights, 1.0), angle(-kicks, weights, 1.0)
+            d = angle_and_norm(kicks, weights, 1.0)[0]
+            d_mirror = angle_and_norm(-kicks, weights, 1.0)[0]
             assert d == pytest.approx(d_mirror, abs=1e-14)
             assert 0.0 <= d <= math.pi / 2
 
@@ -121,7 +131,7 @@ class TestBuresPure:
 class TestBuresMixed:
     def test_single_component_degenerates_to_pure(self):
         assert mixture_angle([0.01], [1.0], 1.0) == pytest.approx(
-            angle([0.01], [1.0], 1.0), abs=1e-14)
+            angle_and_norm([0.01], [1.0], 1.0)[0], abs=1e-14)
         assert mixture_angle([0.0], [1.0], 1.0) == pytest.approx(0.0, abs=1e-7)
 
     def test_equal_mixture_of_shifted_gaussians(self):
@@ -150,11 +160,10 @@ class TestBroadcasting:
         rng = np.random.default_rng(4)
         kicks = rng.uniform(-2, 2, size=(5, 3))
         weights = rng.normal(size=3) + 1j * rng.normal(size=3)
-        for f in (norm_sq, angle, mean_position):
-            rows = f(kicks, weights, 0.7)
+        for q, rows in enumerate(quantities(kicks, weights, 0.7)):
             assert rows.shape == (5,)
             for k, row in zip(kicks, rows):
-                assert row == f(k, weights, 0.7)
+                assert row == quantities(k, weights, 0.7)[q]
         probs = rng.uniform(size=(5, 3))
         rows = mixture_angle(kicks, probs, 0.7)
         for k, p, row in zip(kicks, probs, rows):
@@ -162,7 +171,7 @@ class TestBroadcasting:
 
 
 def gram_angle_reference(kicks, weights, delta):
-    """`angle` as the quadratic form w^H C w alone, which is how every
+    """The angle of `angle_and_norm` as the quadratic form w^H C w alone, which is how every
     pointer was evaluated before the weak-regime series."""
     x = np.asarray(kicks, dtype=float) / delta
     e = np.exp(x * x / -8.0)
@@ -198,12 +207,11 @@ class TestWeakRegimeSeries:
         for d in (2, 3, 5, 16):
             base = rng.uniform(-1.0, 1.0, d)
             kicks = scales[:, None] * (base / np.max(np.abs(base)))
-            for weights in (rng.normal(size=d) + 1j * rng.normal(size=d),
-                            rng.normal(size=(len(scales), d)) + 1j * rng.normal(size=(len(scales), d))):
-                rows = angle(kicks, weights, delta)
-                assert rows.shape == (len(scales),)
-                for r, row in enumerate(rows):
-                    assert row == angle(kicks[r], weights if weights.ndim == 1 else weights[r], delta)
+            weights = rng.normal(size=d) + 1j * rng.normal(size=d)
+            angles, norms = angle_and_norm(kicks, weights, delta)
+            assert angles.shape == norms.shape == (len(scales),)
+            for k, angle, norm in zip(kicks, angles, norms):
+                assert (angle, norm) == angle_and_norm(k, weights, delta)
 
     def test_series_and_quadratic_form_agree_at_the_switch(self):
         # complex weights, whose sine leads with a first moment that does not
@@ -212,14 +220,15 @@ class TestWeakRegimeSeries:
         inside, outside = at_series_edge(-1), at_series_edge(+1)
         for _ in range(50):
             weights = rng.normal(size=3) + 1j * rng.normal(size=3)
-            series = angle(inside, weights, 1.0)
+            series = angle_and_norm(inside, weights, 1.0)[0]
             assert abs(series - gram_angle_reference(inside, weights, 1.0)) <= 1e-14 * series
-            assert angle(outside, weights, 1.0) == gram_angle_reference(outside, weights, 1.0)
+            assert (angle_and_norm(outside, weights, 1.0)[0]
+                    == gram_angle_reference(outside, weights, 1.0))
 
     def test_one_kick_pointers_keep_the_quadratic_form(self):
         kicks = np.geomspace(1e-9, 40.0, 50)[:, None] * np.array([[1.0], [-1.0]])[:, :, None]
         for weights in ([1.0], [0.3 - 0.7j]):
-            assert np.array_equal(angle(kicks, weights, 1.3),
+            assert np.array_equal(angle_and_norm(kicks, weights, 1.3)[0],
                                   gram_angle_reference(kicks, weights, 1.3))
 
 
@@ -232,10 +241,10 @@ class TestGridOracle:
         for pointer, center in [(PHI_W, 0.01), (([0.01], [1.0]), 0.0), (PHI_W, 0.0),
                                 (([2.0], [1.0]), 0.0)]:
             kicks, weights = shifted(pointer, center)
-            closed = math.cos(angle(kicks, weights, 1.0))
+            closed = math.cos(angle_and_norm(kicks, weights, 1.0)[0])
             quad = grid_cos_angle(kicks, weights, 1.0)
             assert abs(closed - quad) <= 1e-6 * closed
-            closed_norm = norm_sq(kicks, weights, 1.0)
+            closed_norm = angle_and_norm(kicks, weights, 1.0)[1]
             quad_norm = grid_overlap(pointer, pointer, 1.0).real
             assert abs(closed_norm - quad_norm) <= 1e-6 * closed_norm
 
@@ -256,8 +265,8 @@ class TestGridOracle:
 
     def test_complex_coefficients_round_trip(self):
         s = ([0.0, 0.4], [1.0, 1j])
-        assert abs(norm_sq(*s, 1.0) - grid_overlap(s, s, 1.0)) < 1e-6
-        assert abs(math.cos(angle(*s, 1.0)) - grid_cos_angle(*s, 1.0)) < 1e-6
+        assert abs(angle_and_norm(*s, 1.0)[1] - grid_overlap(s, s, 1.0)) < 1e-6
+        assert abs(math.cos(angle_and_norm(*s, 1.0)[0]) - grid_cos_angle(*s, 1.0)) < 1e-6
         f = to_grid(*s, 1.0)
         density = np.abs(f.values) ** 2
         quad_mean = np.trapezoid(f.qs * density, f.qs) / np.trapezoid(density, f.qs)
@@ -282,17 +291,18 @@ class TestKernelProperties:
     @given(pointers(), st.floats(0.1, 10.0))
     def test_angles_lie_in_zero_to_right_angle(self, pointer, delta):
         kicks, weights = pointer
-        assert 0.0 <= angle(kicks, weights, delta) <= math.pi / 2
+        assert 0.0 <= angle_and_norm(kicks, weights, delta)[0] <= math.pi / 2
         assert 0.0 <= mixture_angle(kicks, np.abs(weights) ** 2, delta) <= math.pi / 2
 
     @given(pointers(), complex_numbers.filter(lambda z: abs(z) >= 1e-3))
     def test_invariant_under_rescaling_the_weights(self, pointer, scale):
         kicks, weights = pointer
         # a nearly cancelled pointer is ill-conditioned
-        assume(norm_sq(kicks, weights, 1.0) >= 1e-6 * np.sum(np.abs(weights) ** 2))
-        for f, tol in ((angle, 1e-9), (mean_position, 1e-9)):
-            assert f(kicks, scale * weights, 1.0) == pytest.approx(
-                f(kicks, weights, 1.0), rel=tol, abs=tol)
+        assume(angle_and_norm(kicks, weights, 1.0)[1] >= 1e-6 * np.sum(np.abs(weights) ** 2))
+        scaled, _, scaled_mean = quantities(kicks, scale * weights, 1.0)
+        angle, _, mean = quantities(kicks, weights, 1.0)
+        assert scaled == pytest.approx(angle, rel=1e-9, abs=1e-9)
+        assert scaled_mean == pytest.approx(mean, rel=1e-9, abs=1e-9)
 
     @settings(deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.floats(0.01, 3.0))
@@ -302,5 +312,5 @@ class TestKernelProperties:
         pre /= np.linalg.norm(pre)
         q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         kicks = kick * rng.uniform(-1.0, 1.0, size=n)
-        total = sum(norm_sq(kicks, np.conj(q[:, k]) * pre, 1.0) for k in range(n))
+        total = sum(angle_and_norm(kicks, np.conj(q[:, k]) * pre, 1.0)[1] for k in range(n))
         assert total == pytest.approx(1.0, abs=1e-12)

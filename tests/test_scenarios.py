@@ -374,7 +374,7 @@ class TestAmplificationSweep:
             spec = spin_amplification_scenario(alpha, cfg)
             vals, w = branch_weights(spec.pre, spec.post, spec.observable)
             metric = weakness(kick * vals, w, cfg.delta)
-            prob = min(pointer.norm_sq(kick * vals, w, cfg.delta), 1.0)
+            prob = min(pointer.angle_and_norm(kick * vals, w, cfg.delta)[1], 1.0)
             shift = pointer.mean_position(kick * vals, w, cfg.delta) / kick
             p0 = abs(np.sum(w)) ** 2
             weak = metric <= WEAKNESS_THRESHOLD and abs(prob - p0) / p0 <= WEAKNESS_THRESHOLD

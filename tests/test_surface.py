@@ -1,0 +1,77 @@
+"""Every public function and class of wvsim has a caller in the program or in
+the benchmark, so that no entry survives only for the tests.
+
+The sources of `src/wvsim` and `perfbench` are parsed, not imported. A name
+counts as used where it is imported from its wvsim module, read as an
+attribute `module.name` of that module, or read as a bare name inside its own
+module (other than at its definition).
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "wvsim"
+SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+# `mean_position` is the float reference for the closed-form amplification
+# table (tests/test_scenarios.py) and a layer the benchmark's tracer probes by
+# name (perfbench/probes.py); the program itself no longer calls it.
+ALLOWED_UNUSED = {("pointer", "mean_position")}
+
+
+def wvsim_module(node, path):
+    """The wvsim module a `from ... import` takes names from ("wvsim" for the
+    package itself), or None."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 1 and path.parent == PACKAGE:
+            return node.module or "wvsim"
+        if node.level == 0 and node.module and node.module.split(".")[0] == "wvsim":
+            return node.module.split(".", 1)[1] if "." in node.module else "wvsim"
+    return None
+
+
+def public_definitions():
+    """(module, name) of each public top-level function and class in wvsim."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                found.add((path.stem, node.name))
+    return found
+
+
+def uses():
+    """(module, name) pairs read anywhere in the program or the benchmark."""
+    used = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = path.stem if path.parent == PACKAGE else None
+        aliases = {}  # local name -> wvsim module it is bound to
+        for node in ast.walk(tree):
+            module = wvsim_module(node, path)
+            if module is None:
+                continue
+            for alias in node.names:
+                if module == "wvsim":  # `from wvsim import pointer`
+                    aliases[alias.asname or alias.name] = alias.name
+                else:
+                    used.add((module, alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases):
+                used.add((aliases[node.value.id], node.attr))
+            elif isinstance(node, ast.Name) and own is not None:
+                used.add((own, node.id))
+    return used
+
+
+def test_every_public_entry_has_a_caller_outside_the_tests():
+    unused = public_definitions() - uses()
+    assert unused == ALLOWED_UNUSED, sorted(unused - ALLOWED_UNUSED)
+
+
+def test_the_allowed_exception_is_still_defined_and_unused():
+    # the exception goes when mean_position gains a caller or is deleted
+    assert ALLOWED_UNUSED <= public_definitions() - uses()
