@@ -190,8 +190,6 @@ def cmd_weak_value(args: argparse.Namespace, config: dict) -> int:
         raise InvalidData("weak-value needs --pre, --post and --obs")
     pre = parse_state_spec(str(pre_spec))
     post = parse_state_spec(str(post_spec))
-    if pre.labels != post.labels:
-        raise InvalidData(f"pre and post bases differ: {pre.labels} vs {post.labels}")
     value = weak_value(pre, post, parse_observable_spec(str(obs_spec), pre.labels))
     emit(args.out, format_complex(value) + "\n")
     return 0

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import pointer
 from .errors import InvalidData, OrthogonalSelection
-from .qstate import Observable, SystemState, apply, check_basis, inner
+from .qstate import Observable, SystemState
 
 DEFAULT_OVERLAP_FLOOR = 1e-12
 # The smallest g*eps/delta at which the shift angles, and with them every
@@ -56,20 +56,27 @@ class ShiftCheck(NamedTuple):
     distance: float
 
 
+def _check_basis(state: SystemState, a: Observable) -> None:
+    if state.labels != a.labels:
+        raise InvalidData(f"bases differ: {state.labels} vs {a.labels}")
+
+
 def _eigen_amplitudes(state: SystemState, a: Observable) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues a_j of `a` and the amplitudes <a_j|state>."""
-    check_basis(state.labels, a.labels)
+    _check_basis(state, a)
     vals, vecs = a.eigenbasis
     return vals, state.vector if vecs is None else vecs.conj().T @ state.vector
 
 
 def weak_value(pre: SystemState, post: SystemState, a: Observable) -> complex:
     """<post|A|pre> / <post|pre>; complex and unbounded by the spectrum."""
-    denom = inner(post, pre)
+    _check_basis(pre, a)
+    _check_basis(post, a)
+    denom = complex(np.vdot(post.vector, pre.vector))
     if abs(denom) <= DEFAULT_OVERLAP_FLOOR:
         raise OrthogonalSelection(f"|<post|pre>| = {abs(denom):.3e} at or below "
                                   f"floor {DEFAULT_OVERLAP_FLOOR:.3e}")
-    return complex(np.vdot(post.vector, apply(a, pre))) / denom
+    return complex(np.vdot(post.vector, a.matrix @ pre.vector)) / denom
 
 
 def branch_weights(pre: SystemState, post: SystemState | None,

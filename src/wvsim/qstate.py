@@ -1,8 +1,8 @@
-"""Finite-dimensional complex Hilbert-space primitives.
+"""Finite-dimensional states and Hermitian observables, validated on entry.
 
-States and observables live on an ordered basis of integer labels. Everything
-is dense: the systems of interest never exceed dimension ~16, so exactness and
-simplicity win over sparse machinery.
+Both live on an ordered basis of integer labels; the arithmetic on them is
+`wvsim.measurement`'s. Everything is dense: the systems of interest never
+exceed dimension ~16, so exactness and simplicity win over sparse machinery.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ class SystemState:
         vec = np.asarray(self.amplitudes, dtype=complex)
         vec.flags.writeable = False
         return vec
-
-    def amplitude(self, label: int) -> complex:
-        return self.amplitudes[self.labels.index(label)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,25 +137,3 @@ def normalize(vec) -> np.ndarray:
         raise InvalidData("all amplitudes are zero")
     return parts.view(complex) / norm
 
-
-def check_basis(a: tuple[int, ...], b: tuple[int, ...]) -> None:
-    if a != b:
-        raise InvalidData(f"bases differ: {a} vs {b}")
-
-
-def inner(bra: SystemState, ket: SystemState) -> complex:
-    """<bra|ket> = sum_j conj(bra_j) ket_j."""
-    check_basis(bra.labels, ket.labels)
-    return complex(np.vdot(bra.vector, ket.vector))
-
-
-def apply(observable: Observable, state: SystemState) -> np.ndarray:
-    """A|psi> as a raw amplitude vector; deliberately not renormalized."""
-    check_basis(observable.labels, state.labels)
-    return observable.matrix @ state.vector
-
-
-def expectation(observable: Observable, state: SystemState) -> float:
-    """<psi|A|psi>, real because the stored A is exactly Hermitian; the
-    imaginary part the sum leaves is rounding only and is dropped."""
-    return complex(np.vdot(state.vector, apply(observable, state))).real

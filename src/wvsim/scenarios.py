@@ -24,7 +24,7 @@ from . import pointer
 from .errors import InvalidData, OrthogonalSelection
 from .measurement import (DEFAULT_OVERLAP_FLOOR, CouplingConfig, _finite_columns,
                           branch_weights, shift_sweep, weak_value, weakness)
-from .qstate import Observable, SystemState, expectation, make_state, normalize
+from .qstate import Observable, SystemState, make_state, normalize
 
 DEFAULT_EPSILON_GRID = tuple(float(e) for e in np.geomspace(1e-3, 1e-2, 8))
 WEAKNESS_THRESHOLD = 1e-2
@@ -168,12 +168,12 @@ def run_comparison(specs: Iterable[ScenarioSpec],
                 and list(map(float, expect.epsilon_grid)) != grid)):
         raise InvalidData("scenarios must share g, delta and the epsilon grid")
     a_ref = weak_value(weak.pre, weak.post, weak.observable).real
-    a_exp = expectation(expect.observable, expect.pre)
+    vals_x, born = branch_weights(expect.pre, None, expect.observable)
+    a_exp = vals_x @ born
     if abs(a_exp - a_ref) > 1e-9:
         raise InvalidData(
             f"scenarios target different values: weak {a_ref} vs expectation {a_exp}")
     vals, w = branch_weights(weak.pre, weak.post, weak.observable)
-    vals_x, born = branch_weights(expect.pre, None, expect.observable)
     g, delta = weak.cfg.g, weak.cfg.delta
     # first, as it rejects a smallest kick below the floor
     d_weak, norms = shift_sweep(weak.pre, weak.post, weak.observable, (vals, w, a_ref),

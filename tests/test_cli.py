@@ -11,6 +11,7 @@ import shlex
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,6 @@ from wvsim.cli import (
 )
 from wvsim.errors import InvalidData
 from wvsim.measurement import CouplingConfig
-from wvsim.qstate import expectation
 from wvsim.scenarios import AmplificationRow, ComparisonRow, spin_amplification_scenario
 
 COMPARE_HEADER = "epsilon,d_eigen,d_weak_vs_eigen,d_expect_vs_eigen,p_postselect,weakness"
@@ -50,7 +50,8 @@ class TestStateGrammar:
     def test_state_spec(self):
         state = parse_state_spec("-1:1,0:-2")
         assert state.labels == (-1, 0)
-        assert state.amplitude(0) / state.amplitude(-1) == pytest.approx(-2.0)
+        amplitude = dict(zip(state.labels, state.amplitudes))
+        assert amplitude[0] / amplitude[-1] == pytest.approx(-2.0)
 
     def test_bad_specs(self):
         for bad, message in (("1", "missing ':' in state term '1'"),
@@ -111,6 +112,12 @@ class TestWeakValueCommand:
                              "--post=-1:1,1:1", "--obs", "sigmaz")
         assert (code, out) == (2, "")
         assert err == "wvsim: error: unknown observable spec 'sigmaz'; use diag or proj:<j>\n"
+
+    def test_pre_and_post_on_different_bases_exit_2(self, capsys):
+        # the observable is built on pre's labels, so the weak value's one
+        # basis check names post's labels against it
+        assert run(capsys, "weak-value", "--pre=0:1,1:1", "--post=0:1,2:1", "--obs", "diag") == (
+            2, "", "wvsim: error: bases differ: (0, 2) vs (0, 1)\n")
 
     @pytest.mark.parametrize("argv, code, err", [
         ("weak-value --pre=0:1,0:1 --post=0:1,1:1 --obs diag", 2,
@@ -455,7 +462,8 @@ class TestCommandProperties:
         assert (code, err) == (0, "")
         re_part, sign, im_part = WEAK_VALUE_OUTPUT.fullmatch(out).groups()
         state = parse_state_spec(spec)
-        mean = expectation(parse_observable_spec(obs, state.labels), state)
+        a = parse_observable_spec(obs, state.labels)
+        mean = np.vdot(state.vector, a.matrix @ state.vector).real
         # within one unit of the last printed decimal
         assert abs(float(re_part) - mean) <= 1e-12
         assert float(im_part) <= 1e-12

@@ -17,7 +17,9 @@ sweep rejects it, and with it a comparison.
 
 import math
 import sys
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -58,6 +60,11 @@ MOMENT_TOL = 5e-16
 # Re(A_w) is, measured worst 8.7e-16
 P_SELECTION_TOL = 4e-16
 EIGEN_SELECTION_TOL = 1e-15
+# weak_value of a non-diagonal observable, relative error over the condition
+# number sum_j |conj(q_j) p_j| / |sum_j conj(q_j) p_j| of <post|pre> (labels
+# j, amplitudes p of pre and q of post), for complex selections in d 2-16;
+# measured worst 3.3e-16
+WEAK_VALUE_TOL = 1e-15
 # fit_power_law against exact least squares, from np.polyfit's measured
 # worst (1.65e-15, 5.49e-15 and 1.55e-14): the line may not get less accurate
 FIT_EXPONENT_TOL = 2e-15
@@ -165,6 +172,40 @@ def test_weak_vs_eigen_angle_of_complex_selections(d):
                 assert err <= P_SELECTION_TOL * kappa_w, (g, delta, row.epsilon, kappa_w)
                 err = mporacle.rel_error(row.d_eigen, exact["d_eigen"])
                 assert err <= EIGEN_SELECTION_TOL * kappa_w, (g, delta, row.epsilon, kappa_w)
+
+
+@pytest.fixture(scope="module")
+def dense_oracle():
+    """`perfbench/oracle.py`, which diagonalises dense observables; it is only
+    read, so no bytecode is written there."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, perfbench)
+    try:
+        import oracle
+        yield oracle
+    finally:
+        sys.path.remove(perfbench)
+        sys.dont_write_bytecode = saved
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_weak_value_of_dense_observables(dense_oracle, d):
+    rng = np.random.default_rng([12, d])
+    labels = tuple(range(d))
+    for _ in range(2):
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        obs = Observable(labels, (x + x.conj().T) / 2)
+        pre, post = (make_state(zip(labels, amps))
+                     for amps in rng.normal(size=(2, d)) + 1j * rng.normal(size=(2, d)))
+        exact = dense_oracle.weak_value(pre.amplitudes, post.amplitudes,
+                                        tuple(map(tuple, obs.matrix.tolist())))
+        value = weak_value(pre, post, obs)
+        err = float(abs(mp.mpc(value.real, value.imag) - exact) / abs(exact))
+        terms = post.vector.conj() * pre.vector
+        kappa = np.sum(np.abs(terms)) / abs(np.sum(terms))
+        assert err <= WEAK_VALUE_TOL * kappa, (err, kappa)
 
 
 def test_weakness_is_expm1_exactly():

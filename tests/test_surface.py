@@ -1,10 +1,12 @@
-"""Every public function and class of wvsim has a caller in the program or in
-the benchmark, so that no entry survives only for the tests.
+"""Every public function, class, method and property of wvsim has a caller in
+the program or in the benchmark, so that no entry survives only for the
+tests; and no wvsim module imports a name it never reads.
 
 The sources of `src/wvsim` and `perfbench` are parsed, not imported. A name
 counts as used where it is imported from its wvsim module, read as an
 attribute `module.name` of that module, or read as a bare name inside its own
-module (other than at its definition).
+module (other than at its definition). A method or property counts as used
+where any attribute of that name is read, whatever the object.
 """
 
 import ast
@@ -75,3 +77,39 @@ def test_every_public_entry_has_a_caller_outside_the_tests():
 def test_the_allowed_exception_is_still_defined_and_unused():
     # the exception goes when mean_position gains a caller or is deleted
     assert ALLOWED_UNUSED <= public_definitions() - uses()
+
+
+def public_members():
+    """(module, class, name) of each public method and property of a wvsim class."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                found.update((path.stem, node.name, item.name) for item in node.body
+                             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                             and not item.name.startswith("_"))
+    return found
+
+
+def test_every_public_method_and_property_has_a_caller_outside_the_tests():
+    read = {node.attr for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+    assert sorted(m for m in public_members() if m[2] not in read) == []
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}  # local name -> line of the import that binds it
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = node.lineno
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [(path.name, line, name) for name, line in bound.items() if name not in read]
+    assert sorted(unread) == []
