@@ -247,10 +247,11 @@ def cmd_amplify(args: argparse.Namespace, config: dict) -> int:
             raise InvalidData(f"alpha-tan value {fmt(t)} is too large: "
                               f"alpha = 2*atan(t) rounds to pi")
     cfg = CouplingConfig(g=g, epsilon=eps, delta=delta)
-    rows = scenarios.amplification_sweep(alphas, cfg)
-    cells = [(fmt(r.tan_half_alpha), fmt(r.mean_shift_over_g_eps),
-              fmt(r.postselect_probability), "true" if r.weak else "false")
-             for r in rows]
+    table = scenarios.amplification_sweep(alphas, cfg)
+    cells = list(zip(map(fmt, table.tan_half_alpha.tolist()),
+                     map(fmt, table.mean_shift_over_g_eps.tolist()),
+                     map(fmt, table.postselect_probability.tolist()),
+                     ["true" if w else "false" for w in table.weak.tolist()]))
     comment = (f"# wvsim amplify g={fmt(g)} delta={fmt(delta)} eps={fmt(eps)} "
                f"alpha-tan={','.join(fmt(t) for t in tans)}")
     emit(args.out, render_table(comment, AMPLIFY_COLUMNS, cells, [],

@@ -13,17 +13,18 @@ while the expectation-value mixture stays O(eps) away.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, repeat
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property, partial
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
 from . import pointer
 from .errors import InvalidData, OrthogonalSelection
 from .measurement import (DEFAULT_OVERLAP_FLOOR, CouplingConfig, _finite_columns,
-                          branch_weights, shift_sweep, weak_value, weakness)
+                          _out_of_range, branch_weights, shift_sweep, weak_value, weakness)
 from .qstate import Observable, SystemState, make_state, normalize
 
 DEFAULT_EPSILON_GRID = tuple(float(e) for e in np.geomspace(1e-3, 1e-2, 8))
@@ -99,6 +100,51 @@ class AmplificationRow(NamedTuple):
 _amplification_row = partial(tuple.__new__, AmplificationRow)
 
 
+class AmplificationTable(Sequence):
+    """The amplification table as columns: one read-only array of length n
+    per `AmplificationRow` field, in field order (`weak` is boolean).
+
+    As a sequence it reads as its `AmplificationRow` rows, which are built
+    from the columns' `tolist()` once, on first use. It equals another table
+    whose columns are equal, and a list of equal rows.
+    """
+
+    # a plain class: making it a dataclass would add about 1 ms to the import
+    # of this module, and so to every CLI run
+    tan_half_alpha: np.ndarray
+    mean_shift_over_g_eps: np.ndarray
+    postselect_probability: np.ndarray
+    weakness: np.ndarray
+    weak: np.ndarray
+
+    def __init__(self, *columns: np.ndarray):
+        for name, column in zip(AmplificationRow._fields, columns, strict=True):
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @cached_property
+    def _rows(self) -> list[AmplificationRow]:
+        return list(map(_amplification_row, zip(
+            *(getattr(self, name).tolist() for name in AmplificationRow._fields))))
+
+    def __len__(self) -> int:
+        return len(self.weak)
+
+    def __getitem__(self, index):
+        return self._rows[index]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __eq__(self, other):
+        if isinstance(other, AmplificationTable):
+            return all(np.array_equal(getattr(self, name), getattr(other, name))
+                       for name in AmplificationRow._fields)
+        if isinstance(other, list):
+            return self._rows == other
+        return NotImplemented
+
+
 def spin_amplification_scenario(alpha: float, cfg: CouplingConfig) -> ScenarioSpec:
     """Spin-1/2 pre-selected almost opposite to the post-selected direction.
 
@@ -109,19 +155,30 @@ def spin_amplification_scenario(alpha: float, cfg: CouplingConfig) -> ScenarioSp
     post-selection probability of cos^2(alpha/2).
     """
     (pre,) = _spin_selections(np.array([alpha], dtype=float))
-    return ScenarioSpec("spin_amplification", SystemState((-1, 1), tuple(pre.tolist())),
+    return ScenarioSpec("spin_amplification",
+                        SystemState((-1, 1), tuple(pre.astype(complex).tolist())),
                         SPIN_Z, cfg, SPIN_POST)
 
 
 def _spin_selections(alphas: np.ndarray) -> np.ndarray:
-    """Amplitudes on labels (-1, 1) of the pre-selection for each alpha, as
-    rows of an (n, 2) array; the post-selection is SPIN_POST for every row."""
+    """Real amplitudes on labels (-1, 1) of the pre-selection for each
+    alpha, as unit rows of an (n, 2) array; the post-selection is SPIN_POST
+    for every row.
+
+    The steps are `qstate.normalize`'s on real rows, so the result is bit
+    for bit `normalize(rows).real`: numpy divides a complex number by a real
+    one as a product with the reciprocal.
+    """
     bad = ~((alphas > 0.0) & (alphas < math.pi))
     if bad.any():
         raise InvalidData(f"alpha must lie in (0, pi), got {float(alphas[bad.argmax()])}")
     c, s = np.cos(alphas / 2), np.sin(alphas / 2)
     inv = 1.0 / math.sqrt(2.0)
-    return normalize(np.stack([(c - s) * inv, (c + s) * inv], axis=-1))
+    rows = np.stack([(c - s) * inv, (c + s) * inv], axis=-1)
+    # c + s >= |c - s| for alpha in (0, pi), and rounding keeps that order, so
+    # the second amplitude is each row's largest, which `normalize` scales to [0.5, 1)
+    rows = np.ldexp(rows, -np.frexp(rows[:, 1:])[1])
+    return rows * (1.0 / np.sqrt(np.vecdot(rows, rows, keepdims=True)))
 
 
 def weak_value_one_scenario(cfg: CouplingConfig,
@@ -230,8 +287,8 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
     return PowerLawFit(exponent=slope, coefficient=math.exp(intercept), residual=residual)
 
 
-def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> list[AmplificationRow]:
-    """Pointer mean shift in units of g*eps versus tan(alpha/2).
+def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> AmplificationTable:
+    """Pointer mean shift in units of g*eps versus tan(alpha/2), as columns.
 
     In the weak regime the shift tracks the weak value tan(alpha/2) even far
     beyond the +-1 eigenvalue range. Rows outside the weak regime are flagged
@@ -247,31 +304,37 @@ def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> list[Am
     (Sterbenz), B for tan <= 1/3, and 1 - S is -expm1(-x^2 / 2), so each
     column keeps its last digits however small <post|pre> = q A or the kick;
     the normalisation q^2 (A^2 + B^2) = 1 is taken from the rounded
-    amplitudes themselves.
+    amplitudes themselves. The tan column is `math.tan`'s: `np.tan`
+    differs from it by an ulp on about 0.4% of tan(alpha/2) in [1, 1e5].
     """
     alphas = np.fromiter(alphas, float)
-    if not alphas.size:
-        return []
-    pre = _spin_selections(alphas).real
+    n = alphas.size
+    if not n:
+        return AmplificationTable(*(np.empty(0) for _ in range(4)), np.empty(0, bool))
+    pre = _spin_selections(alphas)
     p1, p2 = pre[:, 0], pre[:, 1]
     a, b = p1 + p2, p2 - p1
     # errors in the order of the general kernel: an overflowing g*eps, an
-    # orthogonal selection, then an overflowing x
-    with _finite_columns(cfg.g, cfg.epsilon, cfg.delta):
-        kick = np.float64(cfg.g) * cfg.epsilon
-        if np.any(np.abs(a) * SPIN_POST.amplitudes[0].real <= DEFAULT_OVERLAP_FLOOR):
-            raise OrthogonalSelection("pre- and post-selection are orthogonal")
-        x = kick / cfg.delta
-        h = x * x / -2.0
+    # orthogonal selection, then an overflowing x or x^2 (h is finite only
+    # if both are)
+    kick = float(cfg.g) * float(cfg.epsilon)
+    if not math.isfinite(kick):
+        raise _out_of_range(cfg.g, cfg.epsilon, cfg.delta)
+    if np.abs(a).min() * SPIN_POST.amplitudes[0].real <= DEFAULT_OVERLAP_FLOOR:
+        raise OrthogonalSelection("pre- and post-selection are orthogonal")
+    x = kick / float(cfg.delta)
+    h = x * x / -2.0
+    if not math.isfinite(h):
+        raise _out_of_range(cfg.g, cfg.epsilon, cfg.delta)
     s, one_minus_s = math.exp(h), -math.expm1(h)
     metric = -math.expm1(h / 4.0)
     a2, b2 = a * a, b * b
     denom = a2 * (1.0 + s) + b2 * one_minus_s
-    shift = 2.0 * a * b / denom
-    prob = np.minimum(denom / (2.0 * (a2 + b2)), 1.0)
     # |p - p0| / p0 with p0 = A^2 / (A^2 + B^2), the probability at zero kick
     drift = one_minus_s * np.abs(b2 - a2) / (2.0 * a2)
-    weak = (drift <= WEAKNESS_THRESHOLD) & (metric <= WEAKNESS_THRESHOLD)
-    return list(map(_amplification_row, zip(
-        map(math.tan, (alphas / 2).tolist()), shift.tolist(), prob.tolist(),
-        repeat(metric), weak.tolist())))
+    return AmplificationTable(
+        np.fromiter(map(math.tan, (alphas / 2).tolist()), float, n),
+        2.0 * a * b / denom,
+        np.minimum(denom / (2.0 * (a2 + b2)), 1.0),
+        np.full(n, metric),
+        (drift <= WEAKNESS_THRESHOLD) & (metric <= WEAKNESS_THRESHOLD))

@@ -63,6 +63,23 @@ def test_workload_operation_passes_its_checks(workloads, name, tmp_path):
         assert min(digits[key]) >= floor - MIN_DIGITS_BOUND, key
 
 
+def test_amplify_operation_builds_no_rows(workloads, tmp_path, monkeypatch):
+    # the timed operation yields the table's columns; its rows are built
+    # only when the untimed check reads them, and then have the same digits
+    calls = []
+    row = scenarios._amplification_row
+    monkeypatch.setattr(scenarios, "_amplification_row",
+                        lambda values: calls.append(1) or row(values))
+    wl = workloads.WORKLOADS["amplify_table"](1, tmp_path)
+    out = wl.op(0)
+    assert calls == []
+    digits = {}
+    assert wl.check(0, out, digits) == 0
+    assert len(calls) == len(out) == workloads.AMPLIFY_ROWS
+    for key, floor in SEED_1_DIGITS["amplify_table"].items():
+        assert min(digits[key]) >= floor - MIN_DIGITS_BOUND, key
+
+
 def test_smoke_comparison_with_an_explicit_grid(workloads):
     # the call `perfbench/run.py --smoke` makes, with its pass condition
     cfg = CouplingConfig(1.0, 1e-2, 1.0)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from wvsim import cli, pointer, qstate, scenarios
-from wvsim.errors import InvalidData
+from wvsim.errors import InvalidData, OrthogonalSelection
 from wvsim.measurement import CouplingConfig, branch_weights, weak_value, weakness
 from wvsim.scenarios import (
     DEFAULT_EPSILON_GRID,
     WEAKNESS_THRESHOLD,
+    AmplificationRow,
+    AmplificationTable,
     amplification_sweep,
     expectation_scenario,
     fit_power_law,
@@ -53,8 +55,8 @@ class TestSpinAmplificationScenario:
         for alpha in (0.0, -1.0, math.pi, 4.0):
             with pytest.raises(InvalidData, match=r"alpha must lie in \(0, pi\)"):
                 spin_amplification_scenario(alpha, CFG)
-        # a sweep names its first bad angle before building any state
-        monkeypatch.setattr(scenarios, "normalize", None)
+        # a sweep names its first bad angle before normalising any selection
+        monkeypatch.setattr(np, "vecdot", None)
         for alpha in (0.0, -1.0, math.pi, 4.0):
             with pytest.raises(InvalidData, match=rf"^alpha must lie in \(0, pi\), got {alpha}$"):
                 amplification_sweep([1.0, alpha, -2.0], CFG)
@@ -411,6 +413,35 @@ class TestAmplificationSweep:
             per_size.append(dict(counts))
         assert per_size[0] == per_size[1]
 
+    def test_selections_are_the_complex_normaliser_bit_for_bit(self):
+        # the real rows equal qstate.normalize(rows).real, whose complex
+        # division by the real norm multiplies by its reciprocal
+        rng = np.random.default_rng(20)
+        tans = 10.0 ** rng.uniform(-300.0, 15.5, 20000)
+        alphas = np.concatenate([2 * np.arctan(tans), rng.uniform(0.0, math.pi, 5000)[1:],
+                                 [5e-324, 1e-300, math.nextafter(math.pi, 0.0), math.pi / 2]])
+        c, s = np.cos(alphas / 2), np.sin(alphas / 2)
+        inv = 1.0 / math.sqrt(2.0)
+        reference = qstate.normalize(np.stack([(c - s) * inv, (c + s) * inv], axis=-1))
+        got = scenarios._spin_selections(alphas)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.ascontiguousarray(reference.real).tobytes()
+        (one,) = scenarios._spin_selections(np.array([2 * math.atan(1e5)]))
+        spec = spin_amplification_scenario(2 * math.atan(1e5), CFG)
+        assert spec.pre.amplitudes == tuple(complex(p) for p in one.tolist())
+
+    @pytest.mark.parametrize("g, eps, delta, tan, error", [
+        (1e300, 1e10, 1.0, 1e13, InvalidData),  # g*eps overflows before orthogonality
+        (1.0, 1e-12, 1e-300, 1e13, OrthogonalSelection),  # orthogonality before x
+        (1e200, 1e-3, 1e-300, 10.0, InvalidData),  # x = g*eps/delta overflows
+        (1.0, 1e200, 1.0, 10.0, InvalidData),  # x*x overflows
+    ])
+    def test_range_errors_in_kernel_order(self, g, eps, delta, tan, error):
+        match = ("^g\\*epsilon/delta is out of floating-point range for "
+                 if error is InvalidData else "^pre- and post-selection are orthogonal$")
+        with pytest.raises(error, match=match):
+            amplification_sweep([1.0, 2 * math.atan(tan)], CouplingConfig(g, eps, delta))
+
     def test_unit_weak_value_shift_is_exact(self):
         cfg = CouplingConfig(g=1.0, epsilon=1e-4, delta=1.0)
         (row,) = amplification_sweep([math.pi / 2], cfg)
@@ -433,3 +464,69 @@ class TestAmplificationSweep:
         rows = amplification_sweep([2 * math.atan(t) for t in tans], cfg)
         shifts = [r.mean_shift_over_g_eps for r in rows]
         assert all(a < b for a, b in zip(shifts, shifts[1:]))
+
+
+class TestAmplificationTable:
+    CFG = CouplingConfig(g=1.5, epsilon=3e-3, delta=2.0)
+    TANS = (1e-8, 0.5, 1.0, 10.0, 1e3, 1e5, 1e11)
+
+    def sweep(self):
+        return amplification_sweep([2 * math.atan(t) for t in self.TANS], self.CFG)
+
+    def test_columns_are_read_only_named_rows_of_length_n(self):
+        table = self.sweep()
+        names = list(AmplificationTable.__annotations__)
+        assert names == list(AmplificationRow._fields)
+        with pytest.raises(ValueError):
+            AmplificationTable(*(np.zeros(2) for _ in names[1:]))
+        assert len(table) == len(self.TANS)
+        for name in names:
+            column = getattr(table, name)
+            assert column.shape == (len(self.TANS),)
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+        assert table.weak.dtype == bool
+        assert table.tan_half_alpha.tolist() == [math.tan(math.atan(t)) for t in self.TANS]
+
+    def test_rows_are_the_columns_entries(self):
+        table = self.sweep()
+        rows = list(table)
+        assert all(type(row) is AmplificationRow for row in rows)
+        # row by row: Python floats and a bool, each the bits of its column entry
+        for i, row in enumerate(rows):
+            assert [type(v) for v in row] == [float] * 4 + [bool]
+            assert table[i] is row
+            for name, value in zip(AmplificationRow._fields, row):
+                assert np.array([value]).tobytes() == getattr(table, name)[i:i + 1].tobytes()
+        assert table[1:3] == rows[1:3]
+        assert table[-1] is rows[-1]
+        # and each row is what a sweep of its angle alone gives, bit for bit
+        alone = [row for t in self.TANS for row in amplification_sweep([2 * math.atan(t)], self.CFG)]
+        assert np.array(rows, dtype=float).tobytes() == np.array(alone, dtype=float).tobytes()
+
+    def test_equality(self):
+        table = self.sweep()
+        assert table == self.sweep()
+        assert table == list(self.sweep())
+        assert not table != list(table)
+        other = amplification_sweep([2 * math.atan(t) for t in self.TANS[:-1]], self.CFG)
+        assert table != other
+        assert table != list(other)
+        assert table != tuple(table)
+        assert amplification_sweep([], self.CFG) == []
+        assert amplification_sweep([], self.CFG) == amplification_sweep(np.array([]), self.CFG)
+        assert table != []
+
+    def test_rows_are_built_once_on_first_use(self, monkeypatch):
+        calls = []
+        row = scenarios._amplification_row
+        monkeypatch.setattr(scenarios, "_amplification_row",
+                            lambda values: calls.append(1) or row(values))
+        table = self.sweep()
+        assert len(calls) == 0
+        assert len(table) == len(self.TANS) and len(calls) == 0
+        first = list(table)
+        assert len(calls) == len(self.TANS)
+        assert list(table) == first and table[0] is first[0]
+        assert len(calls) == len(self.TANS)
