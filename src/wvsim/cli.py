@@ -25,6 +25,9 @@ from .measurement import CouplingConfig, weak_value
 from .qstate import Observable, SystemState, make_state
 
 DEFAULT_GRID_SPEC = "1e-3:1e-2:8:log"
+# the most points an --eps-grid may ask for; it is checked before the grid is
+# built, so a mistyped n is an error rather than an allocation of terabytes
+MAX_GRID_POINTS = 10**6
 COMPARE_COLUMNS = ("epsilon", "d_eigen", "d_weak_vs_eigen", "d_expect_vs_eigen",
                    "p_postselect", "weakness")
 AMPLIFY_COLUMNS = ("tan_half_alpha", "mean_shift_over_g_eps", "p_postselect", "weak_flag")
@@ -104,6 +107,8 @@ def parse_grid_spec(text: str) -> tuple[tuple[float, ...], str]:
         raise InvalidData(f"grid kind must be log or lin, got {kind!r}")
     if not 0 < lo < hi < math.inf or n < 2:
         raise InvalidData("epsilon grid needs finite 0 < lo < hi and n >= 2")
+    if n > MAX_GRID_POINTS:
+        raise InvalidData(f"epsilon grid may have at most {MAX_GRID_POINTS} points, got {n}")
     grid = np.geomspace(lo, hi, n) if kind == "log" else np.linspace(lo, hi, n)
     grid = tuple(float(e) for e in grid)
     # rows that print the same epsilon would be indistinguishable; a grid that

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -96,23 +95,16 @@ def weakness(kicks, weights, delta):
     amplitude sum_j w_j = <post|pre> when the pointer psi = sum_j w_j G_{u_j}
     is projected back on G_0; broadcasts like `pointer`. Zero means the
     coupling left the two-state selection untouched, order one destroyed it.
+    The real and imaginary parts of the change are one reduce over the term
+    axis of a (terms, 2, ...) stack, which adds the terms in order.
     """
-    base = np.abs(np.sum(weights, axis=-1))
-    if np.any(base <= DEFAULT_OVERLAP_FLOOR):
+    base = np.abs(np.add.reduce(weights, axis=-1))
+    if np.logical_or.reduce(base <= DEFAULT_OVERLAP_FLOOR, axis=None):
         raise OrthogonalSelection("pre- and post-selection are orthogonal")
-    x = np.asarray(kicks, dtype=float) / delta
-    return np.abs(np.sum(weights * np.expm1(-(x * x) / 8.0), axis=-1)) / base
-
-
-@contextmanager
-def _finite_columns(g: float, epsilon: float, delta: float):
-    """Evaluate pointer columns with overflow and invalid operations raising:
-    either means g*epsilon/delta is out of range, and would print NaN rows."""
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            yield
-    except FloatingPointError:
-        raise _out_of_range(g, epsilon, delta) from None
+    x, w = pointer._nonzero_terms(kicks, weights, delta)
+    parts = (np.concatenate((w.real[:, None], w.imag[:, None]), axis=1)
+             * np.expm1(x * x / -8.0)[:, None])
+    return np.hypot(*np.add.reduce(parts, axis=0)) / base
 
 
 def _out_of_range(g: float, epsilon: float, delta: float) -> InvalidData:
@@ -140,8 +132,9 @@ def _shift(vals, w, aw: float, g: float, delta: float, eps: np.ndarray):
     increasing array `eps`, from one kernel call; every sweep and a miss of
     `effective_shift_check` come here, so all check the floor."""
     _check_smallest_kick(g, float(eps[0]), delta)
-    with _finite_columns(g, float(eps[-1]), delta):
-        return pointer.angle_and_norm(g * eps[:, None] * (vals - aw), w, delta)
+    # the kicks as the transpose of a terms-first array, the layout in which
+    # the kernel sums over the terms
+    return pointer.angle_and_norm(((vals - aw)[:, None] * (g * eps)).T, w, delta)
 
 
 def shift_sweep(pre: SystemState, post: SystemState, a: Observable, selection,
@@ -150,7 +143,11 @@ def shift_sweep(pre: SystemState, post: SystemState, a: Observable, selection,
     probability over the strictly increasing float array `eps` (`grid` is
     its `tolist()`), for `selection = (eigenvalues, weights, Re(A_w))` of pre,
     post and A. The sweep is kept, so that `effective_shift_check` on the same
-    pre, post and A objects, g and delta finds an eps of the grid there."""
+    pre, post and A objects, g and delta finds an eps of the grid there.
+
+    The caller evaluates it with numpy's overflow, divide and invalid errors
+    raising, as `run_comparison` does: a FloatingPointError then means
+    g*eps/delta is out of range at the largest eps."""
     global _sweep
     vals, w, aw = selection
     angles, norms = _shift(vals, w, aw, g, delta, eps)
@@ -184,4 +181,9 @@ def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
         if i < len(grid) and grid[i] == eps:
             return ShiftCheck(ideal, float(sweep[7][i]))
     vals, w = branch_weights(pre, post, a)
-    return ShiftCheck(ideal, float(_shift(vals, w, aw, g, delta, np.array([eps]))[0][0]))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            distance = _shift(vals, w, aw, g, delta, np.array([eps]))[0][0]
+    except FloatingPointError:
+        raise _out_of_range(g, eps, delta) from None
+    return ShiftCheck(ideal, float(distance))

@@ -81,42 +81,64 @@ def angle_and_norm(kicks, weights, delta):
     x = x.reshape(-1, d)
     y = np.multiply(x.T, 0.5, order="C")
     yy = y * y
-    series = np.max(yy, axis=0) <= _SERIES_T_MAX
-    if series.all():
-        out = _series(y, yy, w)
+    # a NaN kick fails this and the per-row test alike
+    if np.maximum.reduce(yy, axis=None, initial=-math.inf) <= _SERIES_T_MAX:
+        angle, norm = _series(y, yy, w)
     else:
-        out = np.empty((2, len(x)))
-        out[:, series] = _series(y[:, series], yy[:, series], w)
-        out[:, ~series] = _gram(x[~series], w)
-    return out[0].reshape(lead)[()], out[1].reshape(lead)[()]
+        series = np.max(yy, axis=0) <= _SERIES_T_MAX
+        angle, norm = np.empty((2, len(x)))
+        angle[series], norm[series] = _series(y[:, series], yy[:, series], w)
+        angle[~series], norm[~series] = _gram(x[~series], w)
+    return angle.reshape(lead)[()], norm.reshape(lead)[()]
+
+
+def _kept_terms(w):
+    """(indices of the weights in the vector w that are not exactly 0, or None
+    if none is 0; whether every weight is real). A term of weight 0 adds only
+    exact zeros to a sum over the terms, so leaving it out changes no bit."""
+    values = w.tolist()
+    kept = [j for j, v in enumerate(values) if v]
+    real = not any(v.imag for v in values)
+    return kept if len(kept) < len(values) else None, real
 
 
 def _series(y, yy, w):
     """`angle_and_norm` by the series, for kicks u_j = 2D y_j given as y and
     y^2 with the terms along the first axis, and weights w of shape (d,).
-    The n = 0 sum, sum_j w_j e_j, is the cosine."""
+    The n = 0 sum, sum_j w_j e_j, is the cosine. Terms of weight 0 are left
+    out, and real weights (complex ones with zero imaginary parts too) take
+    one real pass, which again leaves out only exact zeros."""
+    kept, real = _kept_terms(w)
+    if kept is not None:
+        y, yy, w = y.take(kept, 0), yy.take(kept, 0), w.take(kept)
+    if real:
+        w = w.real
+    # p_nj = e_j y_j^n for n = 0 .. N, and expm1(-y_j^2 / 2) at n = N + 1, each
+    # n a contiguous block, then times w_j into a (terms, N + 2, rows) stack:
+    # numpy reduces its first axis slice by slice (pairwise summation runs
+    # only along the fastest, and the middle axis is longer than 1), so each
+    # sum runs over j in order and a row's sums do not depend on the others
     h = yy * -0.5
-    q = np.empty((len(y), _SERIES_TERMS + 2) + y.shape[1:])
-    np.exp(h, out=q[:, 0])
+    p = np.empty((_SERIES_TERMS + 2,) + y.shape)
+    np.exp(h, out=p[0])
     for n in range(1, _SERIES_TERMS + 1):
-        np.multiply(q[:, n - 1], y, out=q[:, n])
-    np.expm1(h, out=q[:, -1])
-    # (Re, Im) sum_j w_j q_jn: sum_j w_j e_j y_j^n, and at n = -1 the same
-    # sum of w_j expm1(-y_j^2 / 2). j is the slowest axis of these C-ordered
-    # arrays, and numpy reduces such an axis slice by slice (pairwise summation
-    # runs only along the fastest), so each sum runs over j in order and a
-    # row's sums do not depend on the other rows.
+        np.multiply(p[n - 1], y, out=p[n])
+    np.expm1(h, out=p[-1])
+    p = p.swapaxes(0, 1)
+    q = np.empty(p.shape)
     w_j = w.reshape(-1, 1, 1)
-    re = np.add.reduce(q * w_j.real, axis=0)
-    im = np.add.reduce(np.multiply(q, w_j.imag, out=q), axis=0)
-    sq = re * re + im * im
+    re = np.add.reduce(np.multiply(p, w_j.real, out=q), axis=0)
+    sq = re * re
+    if not real:
+        im = np.add.reduce(np.multiply(p, w_j.imag, out=q), axis=0)
+        sq += im * im
     terms = sq[1:-1] / _FACTORIALS
-    sin_sq = terms[-1].copy()
-    for n in range(_SERIES_TERMS - 2, -1, -1):
+    sin_sq = terms[-1] + terms[-2]
+    for n in range(_SERIES_TERMS - 3, -1, -1):
         sin_sq += terms[n]
-    total = np.sum(w)
-    cross = 2.0 * (total.real * re[-1] + total.imag * im[-1])
-    norm = np.abs(total) ** 2 + (cross + (sq[-1] + sin_sq))
+    total = np.add.reduce(w)
+    cross = total * re[-1] if real else total.real * re[-1] + total.imag * im[-1]
+    norm = np.abs(total) ** 2 + (2.0 * cross + (sq[-1] + sin_sq))
     return np.arctan2(np.sqrt(sin_sq), np.sqrt(sq[0])), norm
 
 
@@ -133,14 +155,38 @@ def _gram(x, weights):
             norm)
 
 
+def _nonzero_terms(kicks, weights, delta):
+    """x = u / D and the weights, with the terms moved to the first axis and
+    the weights shaped to broadcast against x; a weight vector shared by every
+    row loses its terms of weight exactly 0."""
+    x = np.asarray(kicks, dtype=float) / delta
+    w = np.asarray(weights)
+    kept = None
+    if w.ndim == 1 and x.shape[-1:] == w.shape:
+        kept = _kept_terms(w)[0]
+        w = w.reshape((-1,) + (1,) * (x.ndim - 1))
+    else:
+        x, w = np.broadcast_arrays(x, w)
+        w = w.transpose(-1, *range(w.ndim - 1))
+    x = x.transpose(-1, *range(x.ndim - 1))
+    if kept is not None:
+        x, w = x.take(kept, 0), w.take(kept, 0)
+    return x, w
+
+
 def mixture_angle(kicks, weights, delta):
     """Bures angle in [0, pi/2] between the mixture
     sum_j p_j |G_{u_j}><G_{u_j}| (weights p_j >= 0, not necessarily summing
-    to 1) and G_0: its squared cosine is sum_j p_j exp(-u_j^2 / 4D^2) / sum_j p_j."""
-    x = np.asarray(kicks, dtype=float) / delta
-    a = -(x * x) / 4.0
-    return np.arctan2(np.sqrt(np.sum(weights * -np.expm1(a), axis=-1)),
-                      np.sqrt(np.sum(weights * np.exp(a), axis=-1)))
+    to 1) and G_0: its squared cosine is sum_j p_j exp(-u_j^2 / 4D^2) / sum_j p_j.
+    Both sums, of p_j (-expm1) and p_j exp, are one reduce over the term axis
+    of a (terms, 2, ...) stack, which adds the terms in order."""
+    x, p = _nonzero_terms(kicks, weights, delta)
+    a = x * x / -4.0
+    s = np.empty((len(a), 2) + a.shape[1:])
+    np.negative(np.expm1(a, out=s[:, 0]), out=s[:, 0])
+    np.exp(a, out=s[:, 1])
+    sin, cos = np.sqrt(np.add.reduce(np.multiply(s, p[:, None], out=s), axis=0))
+    return np.arctan2(sin, cos)
 
 
 def mean_position(kicks, weights, delta):

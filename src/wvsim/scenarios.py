@@ -16,15 +16,15 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from . import pointer
 from .errors import InvalidData, OrthogonalSelection
-from .measurement import (DEFAULT_OVERLAP_FLOOR, CouplingConfig, _finite_columns,
-                          _out_of_range, branch_weights, shift_sweep, weak_value, weakness)
+from .measurement import (DEFAULT_OVERLAP_FLOOR, CouplingConfig, _out_of_range,
+                          branch_weights, shift_sweep, weak_value, weakness)
 from .qstate import Observable, SystemState, make_state, normalize
 
 DEFAULT_EPSILON_GRID = tuple(float(e) for e in np.geomspace(1e-3, 1e-2, 8))
@@ -56,17 +56,21 @@ class ScenarioSpec:
     epsilon_grid: Sequence[float] = DEFAULT_EPSILON_GRID
 
 
-def _checked_grid(grid: Iterable[float]) -> np.ndarray:
-    """`grid` as one float array, which must be non-empty, positive, finite
-    and strictly increasing."""
+def _checked_grid(grid: Iterable[float]) -> tuple[np.ndarray, list[float]]:
+    """`grid` as one float array and its `tolist()`; the grid must be
+    non-empty, positive, finite and strictly increasing. A grid that is
+    strictly increasing from a positive first point to a finite last one is
+    all of these, so a valid grid costs one comparison of neighbours; the
+    message is worked out only for a grid that fails it."""
     eps = np.fromiter(grid, float)
-    if not eps.size:
+    values = eps.tolist()
+    if values and 0 < values[0] and values[-1] < math.inf and (eps[1:] > eps[:-1]).all():
+        return eps, values
+    if not values:
         raise InvalidData("epsilon grid is empty")
     if not (np.isfinite(eps).all() and eps.min() > 0):
         raise InvalidData("epsilon grid values must be strictly positive and finite")
-    if not (eps[1:] > eps[:-1]).all():
-        raise InvalidData("epsilon grid must be strictly increasing")
-    return eps
+    raise InvalidData("epsilon grid must be strictly increasing")
 
 
 class ComparisonRow(NamedTuple):
@@ -76,11 +80,6 @@ class ComparisonRow(NamedTuple):
     d_expect_vs_eigen: float
     postselect_probability: float
     weakness: float
-
-
-# a row straight from its six column values, with no Python frame per row
-# (ComparisonRow._make also re-checks the length, which zip fixes here)
-_comparison_row = partial(tuple.__new__, ComparisonRow)
 
 
 class PowerLawFit(NamedTuple):
@@ -218,8 +217,7 @@ def run_comparison(specs: Iterable[ScenarioSpec],
     if len(selected) != 1 or len(unselected) != 1:
         raise InvalidData("need exactly one post-selected and one pre-selected-only scenario")
     weak, expect = selected[0], unselected[0]
-    eps = _checked_grid(weak.epsilon_grid if epsilon_grid is None else epsilon_grid)
-    grid = eps.tolist()
+    eps, grid = _checked_grid(weak.epsilon_grid if epsilon_grid is None else epsilon_grid)
     if ((weak.cfg.g, weak.cfg.delta) != (expect.cfg.g, expect.cfg.delta)
             or (epsilon_grid is None and expect.epsilon_grid is not weak.epsilon_grid
                 and list(map(float, expect.epsilon_grid)) != grid)):
@@ -232,21 +230,28 @@ def run_comparison(specs: Iterable[ScenarioSpec],
             f"scenarios target different values: weak {a_ref} vs expectation {a_exp}")
     vals, w = branch_weights(weak.pre, weak.post, weak.observable)
     g, delta = weak.cfg.g, weak.cfg.delta
-    # first, as it rejects a smallest kick below the floor
-    d_weak, norms = shift_sweep(weak.pre, weak.post, weak.observable, (vals, w, a_ref),
-                                g, delta, eps, grid)
-    with _finite_columns(g, grid[-1], delta):
-        kick = g * eps
-        # the angle of the eigenvalue pointer, G_0 shifted by g*eps*a_ref
-        x = kick * a_ref / delta
-        columns = (
-            np.arctan2(np.sqrt(-np.expm1(x * x / -4.0)), np.exp(x * x / -8.0)),
-            d_weak,
-            pointer.mixture_angle(kick[:, None] * (vals_x - a_ref), born, delta),
-            np.minimum(norms, 1.0),
-            weakness(kick[:, None] * vals, w, delta),
-        )
-    return list(map(_comparison_row, zip(grid, *(c.tolist() for c in columns))))
+    # the five columns after epsilon as one array, so that one tolist() gives
+    # them all; overflow and invalid operations raise, as either means
+    # g*epsilon/delta is out of range and would print NaN rows
+    columns = np.empty((5, len(grid)))
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            # first, as it rejects a smallest kick below the floor
+            columns[1], norms = shift_sweep(weak.pre, weak.post, weak.observable,
+                                            (vals, w, a_ref), g, delta, eps, grid)
+            kick = g * eps
+            # the angle of the eigenvalue pointer, G_0 shifted by g*eps*a_ref
+            x = kick * a_ref / delta
+            xx = x * x
+            np.arctan2(np.sqrt(-np.expm1(xx / -4.0)), np.exp(xx / -8.0), out=columns[0])
+            # kicks as the transpose of a terms-first array, the layout in
+            # which the kernel sums over the terms
+            columns[2] = pointer.mixture_angle(((vals_x - a_ref)[:, None] * kick).T, born, delta)
+            np.minimum(norms, 1.0, out=columns[3])
+            columns[4] = weakness((vals[:, None] * kick).T, w, delta)
+    except FloatingPointError:
+        raise _out_of_range(g, grid[-1], delta) from None
+    return list(map(tuple.__new__, repeat(ComparisonRow), zip(grid, *columns.tolist())))
 
 
 def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
@@ -255,7 +260,8 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
     The residual is the maximum absolute log-space deviation and is always
     reported alongside the fit.
     """
-    points = list(points)
+    if not isinstance(points, list):
+        points = list(points)
     n = len(points)
     if n < 4:
         raise InvalidData(f"need at least 4 points for a fit, got {n}")
@@ -266,24 +272,32 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
     if lengths != {2}:
         raise InvalidData("power-law fit needs (abscissa, distance) pairs")
     pts = np.fromiter(chain.from_iterable(points), float, 2 * n).reshape(n, 2)
-    if not np.isfinite(pts).all():
+    # a NaN makes both extremes NaN, and an infinity is one of them
+    lo, hi = np.minimum.reduce(pts, axis=None), np.maximum.reduce(pts, axis=None)
+    if not -math.inf < lo <= hi < math.inf:
         raise InvalidData("power-law fit needs finite abscissae and distances")
-    if not (pts > 0).all():
+    if not lo > 0:
         raise InvalidData("power-law fit needs strictly positive abscissae and distances")
-    log_e, log_d = np.log(pts).T
-    spread = float(np.ptp(log_e))
+    # log eps and log d as the first row of a (2, 2, n) stack whose second
+    # row holds them centred, so that one pass gives both rows' residuals;
+    # each mean is the sum np.mean takes, pairwise along a contiguous row, over n
+    logs = np.empty((2, 2, n))
+    np.log(pts.T, out=logs[0])
+    log_e = logs[0, 0]
+    spread = float(np.maximum.reduce(log_e) - np.minimum.reduce(log_e))
     if spread == 0:
         raise InvalidData("power-law fit needs at least two distinct abscissae")
     if spread < MIN_LOG_SPREAD:
         raise InvalidData(f"power-law fit needs abscissae whose logs spread at least "
                           f"{MIN_LOG_SPREAD:g}, got {spread:.12g}")
+    de, dd = np.subtract(logs[0], (np.add.reduce(logs[0], axis=1) / n)[:, None], out=logs[1])
     # the least-squares line in closed form, from the centred points; the
     # intercept averages log d - slope log eps over the points, which rounds
     # less than mean(log d) - slope mean(log eps) at eps far below 1
-    de, dd = log_e - log_e.mean(), log_d - log_d.mean()
-    slope = float(de @ dd / (de @ de))
-    intercept = float(np.mean(log_d - slope * log_e))
-    residual = float(np.max(np.abs(dd - slope * de)))
+    slope = float(de @ dd) / float(de @ de)
+    off = logs[:, 1] - slope * logs[:, 0]
+    intercept = float(np.add.reduce(off[0])) / n
+    residual = float(np.maximum.reduce(np.abs(off[1])))
     return PowerLawFit(exponent=slope, coefficient=math.exp(intercept), residual=residual)
 
 

@@ -110,6 +110,21 @@ def test_dense_operation_runs_the_shift_kernel_once_per_sweep(workloads, tmp_pat
     assert len(calls) == 7
 
 
+def test_compare_operation_runs_the_shift_kernel_once(workloads, tmp_path, monkeypatch):
+    # the comparison's real selections go through the one kernel entry: one
+    # pointer kernel call per operation, for d_weak_vs_eigen and p_postselect
+    calls = []
+    kernel = pointer.angle_and_norm
+    monkeypatch.setattr(pointer, "angle_and_norm",
+                        lambda *args: calls.append(1) or kernel(*args))
+    wl = workloads.WORKLOADS["compare_sweep"](1, tmp_path)
+    wl.prepare()
+    for idx in range(2):
+        rows, fits = wl.op(idx % wl.n_inputs)
+        assert len(rows) == workloads.COMPARE_POINTS and len(fits) == 3
+        assert len(calls) == idx + 1
+
+
 def test_coverage_pass_finds_every_probe_but_the_stale_ones(tmp_path):
     # in a child process, because importing perfbench/run.py pins its process
     # to one CPU and sets the BLAS thread variables

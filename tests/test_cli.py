@@ -20,6 +20,7 @@ import mporacle
 from wvsim.cli import (
     AMPLIFY_COLUMNS,
     COMPARE_COLUMNS,
+    MAX_GRID_POINTS,
     main,
     parse_amplitude,
     parse_grid_spec,
@@ -257,6 +258,19 @@ class TestCompareCommand:
         assert code == 2
         assert out == ""
         assert "epsilon grid must be strictly increasing" in err
+
+    @pytest.mark.parametrize("n", [MAX_GRID_POINTS + 1, 1000000000000])
+    def test_grid_with_too_many_points_exits_2_before_building_it(self, capsys, monkeypatch, n):
+        # the count is checked before numpy is asked for the grid
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid built")
+        monkeypatch.setattr(np, "geomspace", no_grid)
+        monkeypatch.setattr(np, "linspace", no_grid)
+        for kind in ("log", "lin"):
+            code, out, err = run(capsys, "compare", "--eps-grid", f"1e-3:1e-2:{n}:{kind}")
+            assert (code, out) == (2, "")
+            assert err == (f"wvsim: error: epsilon grid may have at most {MAX_GRID_POINTS} "
+                           f"points, got {n}\n")
 
     def test_row_fields_follow_the_printed_columns(self):
         # `compare` prints tuple(row), so the fields must be in column order

@@ -287,6 +287,68 @@ def pointers(draw):
     return np.array(kicks), np.array(weights)
 
 
+# kicks whose (u / 2D)^2 at D = 1 stays below the series bound
+series_kicks = st.floats(-0.99 * 2.0 * math.sqrt(pointer._SERIES_T_MAX),
+                         0.99 * 2.0 * math.sqrt(pointer._SERIES_T_MAX))
+nonzero_components = components.filter(lambda v: abs(v) >= 1e-3)
+
+
+def bits(values):
+    """The bytes of each float of a result, so that equal means bit for bit."""
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+@st.composite
+def series_pointers(draw, complex_weights=True):
+    """(kicks of shape (rows, d), weights of shape (d,)) with d >= 2 nonzero
+    weights and every kick inside the series range."""
+    d, rows = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+    kicks = np.array(draw(st.lists(st.lists(series_kicks, min_size=d, max_size=d),
+                                   min_size=rows, max_size=rows)))
+    part = st.builds(complex, nonzero_components, components) if complex_weights else nonzero_components
+    return kicks, np.array(draw(st.lists(part, min_size=d, max_size=d)))
+
+
+@st.composite
+def with_zero_terms(draw, pointer, kick_values):
+    """The pointer with 1 to 6 terms of weight 0 inserted at drawn places,
+    each with drawn kicks on every row."""
+    kicks, weights = pointer
+    for _ in range(draw(st.integers(1, 6))):
+        at = draw(st.integers(0, len(weights)))
+        column = draw(st.lists(kick_values, min_size=len(kicks), max_size=len(kicks)))
+        kicks = np.insert(kicks, at, column, axis=1)
+        weights = np.insert(weights, at, 0)
+    return kicks, weights
+
+
+class TestZeroAndRealWeights:
+    """The kernel leaves out terms of weight 0 and takes real weights through a
+    real pass; both only drop exact zeros from its sums, so neither may change
+    a bit of any result."""
+
+    @given(series_pointers(complex_weights=False))
+    def test_real_weights_as_complex_give_the_same_bits(self, pointer):
+        kicks, weights = pointer
+        assert bits(angle_and_norm(kicks, weights, 1.0)) == bits(
+            angle_and_norm(kicks, weights + 0j, 1.0))
+        assert bits(angle_and_norm(kicks[0], weights, 1.0)) == bits(
+            angle_and_norm(kicks[0], weights + 0j, 1.0))
+
+    @given(st.data(), st.booleans())
+    def test_zero_weight_terms_change_no_bit_of_a_pure_pointer(self, data, complex_weights):
+        kicks, weights = data.draw(series_pointers(complex_weights))
+        padded = data.draw(with_zero_terms((kicks, weights), series_kicks))
+        assert bits(angle_and_norm(*padded, 1.0)) == bits(angle_and_norm(kicks, weights, 1.0))
+
+    @given(st.data())
+    def test_zero_weight_terms_change_no_bit_of_a_mixture(self, data):
+        kicks, weights = data.draw(series_pointers(complex_weights=False))
+        probs = np.abs(weights)
+        padded = data.draw(with_zero_terms((kicks, probs), st.floats(-5.0, 5.0)))
+        assert bits([mixture_angle(*padded, 0.7)]) == bits([mixture_angle(kicks, probs, 0.7)])
+
+
 class TestKernelProperties:
     @given(pointers(), st.floats(0.1, 10.0))
     def test_angles_lie_in_zero_to_right_angle(self, pointer, delta):

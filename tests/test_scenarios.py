@@ -1,6 +1,8 @@
 """Scenario constructors, comparison sweeps, power-law fits, amplification."""
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from wvsim.scenarios import (
 CFG = CouplingConfig(g=1.0, epsilon=0.01, delta=1.0)
 # the relative accuracy of the general pointer kernel on well-conditioned sums
 KERNEL_ULP_TOL = 2e-15
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestSpinAmplificationScenario:
@@ -184,6 +187,48 @@ class TestRunComparison:
                 sweep(CFG, [0.01, 0.01])
             with pytest.raises(InvalidData, match="strictly positive"):
                 sweep(CFG, [0.0, 0.01])
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, for the benchmark's grids and cases; imported
+    without writing bytecode under perfbench/."""
+    saved = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+        yield workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+        sys.dont_write_bytecode = saved
+
+
+def assert_rows_stand_alone(specs, every=1):
+    """Every `every`-th row of the sweep of `specs` equals, bit for bit, the
+    one row of a sweep of its epsilon alone."""
+    rows = run_comparison(specs)
+    for row in rows[::every]:
+        (alone,) = run_comparison(specs, [row.epsilon])
+        assert np.array(alone).tobytes() == np.array(row).tobytes(), row.epsilon
+
+
+class TestRowIndependence:
+    """A row depends on its own epsilon alone, not on the grid it is swept in:
+    every sum over the terms runs in one fixed order, whatever the row count."""
+
+    def test_cli_default_grid(self):
+        assert_rows_stand_alone([weak_value_one_scenario(CFG), expectation_scenario(CFG)])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_compare_sweep_grids(self, workloads, tmp_path, seed):
+        assert_rows_stand_alone(workloads.WORKLOADS["compare_sweep"](seed, tmp_path)._specs(), 7)
+
+    def test_dense_observables_cases(self, workloads, tmp_path):
+        wl = workloads.WORKLOADS["dense_observables"](1, tmp_path)
+        assert len(wl.inputs["cases"]) == 7
+        for k in range(7):
+            assert_rows_stand_alone(wl.specs(k))
 
 
 def compare_on(cfg, grid):
