@@ -37,20 +37,6 @@ STALE_PROBES = ["measurement.couple", "measurement.post_select",
                 "pointer.bures_mixed", "pointer.normalize_terms"]
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import oracle  # noqa: F401  (imported now, while no bytecode is written)
-        import workloads
-        yield workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
-        sys.dont_write_bytecode = saved
-
-
 @pytest.mark.parametrize("name", sorted(SEED_1_DIGITS))
 def test_workload_operation_passes_its_checks(workloads, name, tmp_path):
     wl = workloads.WORKLOADS[name](1, tmp_path)
@@ -118,11 +104,10 @@ def test_compare_operation_runs_the_shift_kernel_once(workloads, tmp_path, monke
     monkeypatch.setattr(pointer, "angle_and_norm",
                         lambda *args: calls.append(1) or kernel(*args))
     wl = workloads.WORKLOADS["compare_sweep"](1, tmp_path)
-    wl.prepare()
-    for idx in range(2):
-        rows, fits = wl.op(idx % wl.n_inputs)
+    for ops in (1, 2):
+        rows, fits = wl.op(0)
         assert len(rows) == workloads.COMPARE_POINTS and len(fits) == 3
-        assert len(calls) == idx + 1
+        assert len(calls) == ops
 
 
 def test_coverage_pass_finds_every_probe_but_the_stale_ones(tmp_path):

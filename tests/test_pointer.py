@@ -305,7 +305,8 @@ def series_pointers(draw, complex_weights=True):
     d, rows = draw(st.integers(2, 8)), draw(st.integers(1, 4))
     kicks = np.array(draw(st.lists(st.lists(series_kicks, min_size=d, max_size=d),
                                    min_size=rows, max_size=rows)))
-    part = st.builds(complex, nonzero_components, components) if complex_weights else nonzero_components
+    part = (st.builds(complex, nonzero_components, components) if complex_weights
+            else nonzero_components)
     return kicks, np.array(draw(st.lists(part, min_size=d, max_size=d)))
 
 

@@ -1,8 +1,6 @@
 """Scenario constructors, comparison sweeps, power-law fits, amplification."""
 
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +24,6 @@ from wvsim.scenarios import (
 CFG = CouplingConfig(g=1.0, epsilon=0.01, delta=1.0)
 # the relative accuracy of the general pointer kernel on well-conditioned sums
 KERNEL_ULP_TOL = 2e-15
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 class TestSpinAmplificationScenario:
@@ -187,21 +184,6 @@ class TestRunComparison:
                 sweep(CFG, [0.01, 0.01])
             with pytest.raises(InvalidData, match="strictly positive"):
                 sweep(CFG, [0.0, 0.01])
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    """perfbench/workloads.py, for the benchmark's grids and cases; imported
-    without writing bytecode under perfbench/."""
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import workloads
-        yield workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
-        sys.dont_write_bytecode = saved
 
 
 def assert_rows_stand_alone(specs, every=1):
