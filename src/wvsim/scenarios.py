@@ -13,6 +13,7 @@ while the expectation-value mixture stays O(eps) away.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -22,10 +23,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import pointer
-from .errors import InvalidData, OrthogonalSelection
-from .measurement import (DEFAULT_OVERLAP_FLOOR, CouplingConfig, _out_of_range,
-                          branch_weights, shift_sweep, weak_value, weakness)
-from .qstate import Observable, SystemState, make_state, normalize
+from .errors import InvalidData
+from .measurement import (CouplingConfig, _out_of_range, branch_weights, shift_sweep,
+                          weak_value, weakness)
+from .qstate import Observable, SystemState, make_state
 
 DEFAULT_EPSILON_GRID = tuple(float(e) for e in np.geomspace(1e-3, 1e-2, 8))
 WEAKNESS_THRESHOLD = 1e-2
@@ -33,9 +34,10 @@ WEAKNESS_THRESHOLD = 1e-2
 # rounding error divided by that spread, not a scaling law
 MIN_LOG_SPREAD = 1e-6
 # The canonical selections are shared, so their eigenbases are computed once.
-SPIN_Z = Observable.diagonal((-1, 1))
-# |up_x>, the post-selection of every spin amplification row
-SPIN_POST = SystemState((-1, 1), tuple(normalize([1 / math.sqrt(2.0)] * 2).tolist()))
+# sigma_z and |up_x>, the post-selection of every spin amplification row, in
+# the basis |up_x>, |down_x> (labels 0, 1) of that post-selection
+SPIN_OBSERVABLE = Observable((0, 1), [[0, 1], [1, 0]])
+SPIN_POST = make_state([(0, 1.0), (1, 0.0)])
 WEAK_ONE_PRE = make_state([(-1, 1.0), (0, 1.0), (1, 0.0)])
 WEAK_ONE_POST = make_state([(-1, 1.0), (0, -2.0), (1, 0.0)])
 WEAK_ONE_OBSERVABLE = Observable.diagonal((-1, 0, 1))
@@ -147,37 +149,26 @@ class AmplificationTable(Sequence):
 def spin_amplification_scenario(alpha: float, cfg: CouplingConfig) -> ScenarioSpec:
     """Spin-1/2 pre-selected almost opposite to the post-selected direction.
 
-    Pre-selection cos(alpha/2)|up_x> + sin(alpha/2)|down_x>, post-selection
-    |up_x>, encoded in the z basis on labels {-1, +1} where sigma_z is
-    diagonal. The weak value of sigma_z is tan(alpha/2), which dwarfs the
-    +-1 eigenvalue range as alpha approaches pi; the price is a
-    post-selection probability of cos^2(alpha/2).
+    Pre-selection proportional to |up_x> + t|down_x> with t = tan(alpha/2),
+    that is cos(alpha/2)|up_x> + sin(alpha/2)|down_x>, post-selection |up_x>,
+    written in the basis of the post-selection: labels 0 and 1 for |up_x>
+    and |down_x>, on which sigma_z swaps the two. The weak value of sigma_z
+    is t, which dwarfs the +-1 eigenvalue range as alpha approaches pi; the
+    price is a post-selection probability of cos^2(alpha/2) = 1/(1+t^2).
     """
-    (pre,) = _spin_selections(np.array([alpha], dtype=float))
-    return ScenarioSpec("spin_amplification",
-                        SystemState((-1, 1), tuple(pre.astype(complex).tolist())),
-                        SPIN_Z, cfg, SPIN_POST)
+    (t,) = _half_angle_tans(np.array([alpha], dtype=float)).tolist()
+    return ScenarioSpec("spin_amplification", make_state([(0, 1.0), (1, t)]),
+                        SPIN_OBSERVABLE, cfg, SPIN_POST)
 
 
-def _spin_selections(alphas: np.ndarray) -> np.ndarray:
-    """Real amplitudes on labels (-1, 1) of the pre-selection for each
-    alpha, as unit rows of an (n, 2) array; the post-selection is SPIN_POST
-    for every row.
-
-    The steps are `qstate.normalize`'s on real rows, so the result is bit
-    for bit `normalize(rows).real`: numpy divides a complex number by a real
-    one as a product with the reciprocal.
-    """
-    bad = ~((alphas > 0.0) & (alphas < math.pi))
-    if bad.any():
+def _half_angle_tans(alphas: np.ndarray) -> np.ndarray:
+    """tan(alpha/2) of each alpha, by `math.tan`, which differs from `np.tan`
+    by an ulp on about 0.4% of tan(alpha/2) in [1, 1e5]; each alpha must lie
+    in (0, pi)."""
+    if not (alphas.min() > 0.0 and alphas.max() < math.pi):  # NaN fails too
+        bad = ~((alphas > 0.0) & (alphas < math.pi))
         raise InvalidData(f"alpha must lie in (0, pi), got {float(alphas[bad.argmax()])}")
-    c, s = np.cos(alphas / 2), np.sin(alphas / 2)
-    inv = 1.0 / math.sqrt(2.0)
-    rows = np.stack([(c - s) * inv, (c + s) * inv], axis=-1)
-    # c + s >= |c - s| for alpha in (0, pi), and rounding keeps that order, so
-    # the second amplitude is each row's largest, which `normalize` scales to [0.5, 1)
-    rows = np.ldexp(rows, -np.frexp(rows[:, 1:])[1])
-    return rows * (1.0 / np.sqrt(np.vecdot(rows, rows, keepdims=True)))
+    return np.fromiter(map(math.tan, (alphas / 2).tolist()), float, alphas.size)
 
 
 def weak_value_one_scenario(cfg: CouplingConfig,
@@ -298,7 +289,15 @@ def fit_power_law(points: Iterable[tuple[float, float]]) -> PowerLawFit:
     off = logs[:, 1] - slope * logs[:, 0]
     intercept = float(np.add.reduce(off[0])) / n
     residual = float(np.maximum.reduce(np.abs(off[1])))
-    return PowerLawFit(exponent=slope, coefficient=math.exp(intercept), residual=residual)
+    try:
+        coefficient = math.exp(intercept)
+    except OverflowError:
+        coefficient = math.inf
+    # a subnormal or zero coefficient would print digits that underflow lost
+    if not sys.float_info.min <= coefficient < math.inf:
+        raise InvalidData(f"power-law fit coefficient exp({intercept:.12g}) is out of "
+                          f"floating-point range")
+    return PowerLawFit(exponent=slope, coefficient=coefficient, residual=residual)
 
 
 def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> AmplificationTable:
@@ -310,45 +309,39 @@ def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> Amplifi
     scalar product and the post-selection probability stay within
     WEAKNESS_THRESHOLD of their zero-coupling values.
 
-    The pointer q (p1 G_{-u} + p2 G_u), with u = g*eps, post amplitude q and
-    pre-selection (p1, p2), has closed-form moments in A = p1 + p2,
-    B = p2 - p1 and S = <G_{-u}|G_u> = exp(-x^2 / 2), x = u / delta:
-    norm^2 = q^2 (A^2 (1 + S) + B^2 (1 - S)) / 2 and <Q> = u q^2 A B / norm^2.
-    Every sum there is over non-negative terms, A is exact for tan >= 3
-    (Sterbenz), B for tan <= 1/3, and 1 - S is -expm1(-x^2 / 2), so each
-    column keeps its last digits however small <post|pre> = q A or the kick;
-    the normalisation q^2 (A^2 + B^2) = 1 is taken from the rounded
-    amplitudes themselves. The tan column is `math.tan`'s: `np.tan`
-    differs from it by an ulp on about 0.4% of tan(alpha/2) in [1, 1e5].
+    Every column is a closed form in t = tan(alpha/2), the tan column itself,
+    and S = <G_{-u}|G_u> = exp(-x^2 / 2) with u = g*eps and x = u / delta.
+    The pre-selection |up_x> + t|down_x> of `spin_amplification_scenario`
+    leaves the post-selected pointer ((1+t) G_u + (1-t) G_{-u}) / 2, so with
+    D = (1+S) + t^2 (1-S) the mean shift over u is 2t / D, the
+    post-selection probability D / (2(1+t^2)) and its drift from the
+    zero-kick 1/(1+t^2) is (1-S)|t^2-1| / 2. Every sum there is over
+    non-negative terms and 1 - S is -expm1(-x^2 / 2), so each column holds
+    about one ulp at the float t however small 1/(1+t^2) or the kick; t is
+    at most about 3.5e15 for alpha below pi, so t^2 cannot overflow.
     """
     alphas = np.fromiter(alphas, float)
     n = alphas.size
     if not n:
         return AmplificationTable(*(np.empty(0) for _ in range(4)), np.empty(0, bool))
-    pre = _spin_selections(alphas)
-    p1, p2 = pre[:, 0], pre[:, 1]
-    a, b = p1 + p2, p2 - p1
-    # errors in the order of the general kernel: an overflowing g*eps, an
-    # orthogonal selection, then an overflowing x or x^2 (h is finite only
-    # if both are)
-    kick = float(cfg.g) * float(cfg.epsilon)
-    if not math.isfinite(kick):
-        raise _out_of_range(cfg.g, cfg.epsilon, cfg.delta)
-    if np.abs(a).min() * SPIN_POST.amplitudes[0].real <= DEFAULT_OVERLAP_FLOOR:
-        raise OrthogonalSelection("pre- and post-selection are orthogonal")
-    x = kick / float(cfg.delta)
+    t = _half_angle_tans(alphas)
+    # an overflowing g*eps, x or x^2 leaves h infinite
+    x = float(cfg.g) * float(cfg.epsilon) / float(cfg.delta)
     h = x * x / -2.0
     if not math.isfinite(h):
         raise _out_of_range(cfg.g, cfg.epsilon, cfg.delta)
     s, one_minus_s = math.exp(h), -math.expm1(h)
     metric = -math.expm1(h / 4.0)
-    a2, b2 = a * a, b * b
-    denom = a2 * (1.0 + s) + b2 * one_minus_s
-    # |p - p0| / p0 with p0 = A^2 / (A^2 + B^2), the probability at zero kick
-    drift = one_minus_s * np.abs(b2 - a2) / (2.0 * a2)
+    t2 = t * t
+    # 2t / D over a = max(t, 1): for t >= 1 it is 2 / ((1+S)/t + t(1-S)),
+    # which does not round t^2; t/a is t or exactly 1
+    a = np.maximum(t, 1.0)
+    b = t / a
+    # D / (2(1+t^2)) as (1-S)/2 + S/(1+t^2), which rounds less; it is at
+    # most (1+S)/2, so rounding cannot take it above 1
     return AmplificationTable(
-        np.fromiter(map(math.tan, (alphas / 2).tolist()), float, n),
-        2.0 * a * b / denom,
-        np.minimum(denom / (2.0 * (a2 + b2)), 1.0),
-        np.full(n, metric),
-        (drift <= WEAKNESS_THRESHOLD) & (metric <= WEAKNESS_THRESHOLD))
+        t, 2.0 * b / ((1.0 + s) / a + t * (b * one_minus_s)),
+        one_minus_s / 2.0 + s / (1.0 + t2), np.full(n, metric),
+        # the drift (1-S)|t^2-1|/2 within the threshold
+        (one_minus_s * np.abs(t2 - 1.0) <= 2.0 * WEAKNESS_THRESHOLD)
+        & (metric <= WEAKNESS_THRESHOLD))

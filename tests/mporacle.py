@@ -3,12 +3,13 @@
 Everything is evaluated with mpmath at ORACLE_DPS decimal digits from the
 closed forms of the Gaussian pointer algebra, starting from the exact binary
 floats the program received (state amplitudes, observable diagonal, g, delta,
-eps), so a difference between the program and the oracle is the program's own
-rounding error. It imports nothing from wvsim and handles diagonal observables
-only, which is what the canonical scenarios use, and fits power laws by
-exact least squares. Comparison rows get more digits the smaller the kick
-g*eps/delta, since their angles are arccosines of numbers within about the
-kick's fourth power of 1.
+eps, or the tan of an amplification row), so a difference between the
+program and the oracle is the program's own rounding error. It imports
+nothing from wvsim and handles diagonal observables only, which is what the
+canonical scenarios use, and fits power laws by exact least squares.
+Comparison rows get more digits the smaller the kick g*eps/delta, since
+their angles are arccosines of numbers within about the kick's fourth power
+of 1.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def _comparison_dps(g, delta, eps) -> int:
 
 
 def _vec(amplitudes) -> list:
-    v = [mp.mpc(complex(a).real, complex(a).imag) for a in amplitudes]
+    v = [mp.mpc(a) for a in amplitudes]
     norm = mp.sqrt(mp.fsum(abs(z) ** 2 for z in v))
     return [z / norm for z in v]
 
@@ -68,16 +69,28 @@ def comparison_row(pre, post, diagonal, pre_x, diagonal_x, g, delta, eps) -> dic
         }
 
 
-def mean_shift(pre, post, diagonal, g, delta, eps):
-    """Mean pointer position of the post-selected pointer over g*eps."""
-    with mp.workdps(ORACLE_DPS):
-        g, delta, eps = mp.mpf(g), mp.mpf(delta), mp.mpf(eps)
-        x, w, norm_sq = _pointer(pre, post, diagonal, g, delta, eps)
-        n = len(w)
+def amplification_row(t, g, delta, eps) -> dict:
+    """Mean pointer position over g*eps, post-selection probability, the
+    relative change of <post|pre> and of that probability from zero kick
+    (`weakness` and `drift`, which flag the weak regime) of a spin
+    pre-selected as |up_x> + t|down_x> and post-selected on |up_x>, for
+    the exact float t. The selections are built from t in the z basis
+    (labels -1, 1), where sigma_z is diagonal: the pre-selection is
+    proportional to (1 - t, 1 + t) and the post-selection to (1, 1). The
+    Gram sums cancel by about t^2 (or 1/t^2) and by (g*eps/delta)^2, so they
+    are taken with two more digits per decade of either."""
+    decades = max(0, math.ceil(math.log10(delta) - math.log10(g) - math.log10(eps)))
+    with mp.workdps(ORACLE_DPS + 2 * decades + 2 * math.ceil(abs(math.log10(t)))):
+        g, delta, eps, t = mp.mpf(g), mp.mpf(delta), mp.mpf(eps), mp.mpf(t)
+        x, w, norm_sq = _pointer((1 - t, 1 + t), (1, 1), (-1, 1), g, delta, eps)
         mean = mp.re(mp.fsum(mp.conj(w[j]) * w[k] * (x[j] + x[k]) / 2
                              * _overlap(x[j], x[k], delta)
-                             for j in range(n) for k in range(n))) / norm_sq
-        return mean / (g * eps)
+                             for j in range(2) for k in range(2))) / norm_sq
+        total = mp.fsum(w)
+        returned = mp.fsum(wj * _overlap(xj, 0, delta) for xj, wj in zip(x, w))
+        return {"mean_shift": mean / (g * eps), "p_postselect": norm_sq,
+                "weakness": abs(returned - total) / abs(total),
+                "drift": abs(norm_sq - abs(total) ** 2) / abs(total) ** 2}
 
 
 def power_law_fit(points):

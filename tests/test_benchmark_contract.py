@@ -26,7 +26,7 @@ MIN_DIGITS_BOUND = next(m["bound"] for m in END_TO_END if m["name"] == "min_digi
 SEED_1_DIGITS = {
     "compare_sweep": {"d_eigen": 15.629, "d_weak_vs_eigen": 14.988,
                       "d_expect_vs_eigen": 15.584, "p_postselect": 15.367},
-    "amplify_table": {"mean_shift": 15.435, "p_postselect": 15.339},
+    "amplify_table": {"mean_shift": 15.7, "p_postselect": 15.533},
     "dense_observables": {"d_eigen": 15.526, "d_weak_vs_eigen": 14.548,
                           "d_expect_vs_eigen": 15.119, "p_postselect": 14.38},
 }

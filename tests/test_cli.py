@@ -28,8 +28,7 @@ from wvsim.cli import (
     parse_state_spec,
 )
 from wvsim.errors import InvalidData
-from wvsim.measurement import CouplingConfig
-from wvsim.scenarios import AmplificationRow, ComparisonRow, spin_amplification_scenario
+from wvsim.scenarios import WEAKNESS_THRESHOLD, AmplificationRow, ComparisonRow
 
 COMPARE_HEADER = "epsilon,d_eigen,d_weak_vs_eigen,d_expect_vs_eigen,p_postselect,weakness"
 AMPLIFY_HEADER = "tan_half_alpha,mean_shift_over_g_eps,p_postselect,weak_flag"
@@ -137,8 +136,12 @@ class TestWeakValueCommand:
          "that both print as 0.001\n"),
         ("weak-value --pre=0:1,1:0 --post=0:0,1:1 --obs diag", 3,
          "wvsim: |<post|pre>| = 0.000e+00 at or below floor 1.000e-12\n"),
-        ("amplify --alpha-tan 1e13 --eps 1e-12", 3,
-         "wvsim: pre- and post-selection are orthogonal\n"),
+        ("compare --eps-grid 1e-300:1e-250:5:log --g 1e230", 2,
+         "wvsim: error: power-law fit coefficient exp(1058.14942201) is out of "
+         "floating-point range\n"),
+        ("compare --eps-grid 1e150:1e151:5:log --g 1e-200", 2,
+         "wvsim: error: power-law fit coefficient exp(-922.073757968) is out of "
+         "floating-point range\n"),
     ])
     def test_error_line_and_exit_code(self, capsys, argv, code, err):
         assert run(capsys, *argv.split()) == (code, "", err)
@@ -308,6 +311,22 @@ class TestCompareCommand:
         assert "epsilon" in out and "," not in out.splitlines()[1]
 
 
+def oracle_cells(argv):
+    """The cells of every `amplify` row that `argv` asks for, from the oracle
+    at each float tan(alpha/2) the program sweeps, formatted as it prints."""
+    flags = dict(zip(argv.split()[1::2], argv.split()[2::2]))
+    g, delta = float(flags.get("--g", 1.0)), float(flags.get("--delta", 1.0))
+    eps = float(flags["--eps"])
+    cells = []
+    for typed in flags["--alpha-tan"].split(","):
+        t = math.tan(2 * math.atan(float(typed)) / 2)
+        exact = mporacle.amplification_row(t, g, delta, eps)
+        weak = max(exact["weakness"], exact["drift"]) <= WEAKNESS_THRESHOLD
+        cells += [f"{t:.12g}", f"{float(exact['mean_shift']):.12g}",
+                  f"{float(exact['p_postselect']):.12g}", "true" if weak else "false"]
+    return cells
+
+
 class TestAmplifyCommand:
     def test_amplification_table(self, capsys):
         code, out, _ = run(capsys, "amplify", "--alpha-tan", "1,10,100")
@@ -333,14 +352,22 @@ class TestAmplifyCommand:
             code, out, err = run(capsys, *argv.split())
         assert (code, err) == (0, "")
         (row,) = [line.split(",") for line in out.splitlines()[2:]]
-        flags = dict(zip(argv.split()[1::2], map(float, argv.split()[2::2])))
-        cfg = CouplingConfig(flags.get("--g", 1.0), flags["--eps"], flags.get("--delta", 1.0))
-        spec = spin_amplification_scenario(2 * math.atan(flags["--alpha-tan"]), cfg)
-        pre, post = spec.pre.amplitudes, spec.post.amplitudes
-        shift = mporacle.mean_shift(pre, post, (-1, 1), cfg.g, cfg.delta, cfg.epsilon)
-        p = mporacle.comparison_row(pre, post, (-1, 1), pre, (-1, 1), cfg.g, cfg.delta,
-                                    cfg.epsilon)["p_postselect"]
-        assert row[1:3] == [f"{float(shift):.12g}", f"{float(p):.12g}"]
+        assert row == oracle_cells(argv)
+
+    @pytest.mark.parametrize("argv", [
+        "amplify --alpha-tan 1e13 --eps 1e-12",
+        "amplify --alpha-tan 1e-300 --eps 1e-3",
+        "amplify --alpha-tan 1e11,1e9,1e6,1e5,1e-8 --eps 1e-6",
+        "amplify --alpha-tan 1,100,1e5 --eps 1e-2",
+    ])
+    def test_every_cell_is_the_oracle_at_the_echoed_tan(self, capsys, argv):
+        # a selection amplitude <post|pre> below the overlap floor (1e13), a
+        # tan far below 1, and the tans whose rows lost digits when the
+        # table was summed from spin amplitudes
+        code, out, err = run(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert [cell for row in rows for cell in row] == oracle_cells(argv)
 
     def test_amplified_shift_prints_the_oracle_digits(self, capsys):
         # at tan = 5e4 the selection amplitude <post|pre> is ~1/tan of its
@@ -387,10 +414,8 @@ class TestAmplifyCommand:
                          "--eps", repr(eps)])
         out = out.getvalue()
         assert "nan" not in out and "inf" not in out
-        if code == 3:
-            assert (out, err.getvalue()) == ("", "wvsim: pre- and post-selection are orthogonal\n")
-            return
-        assert code == 0
+        # no selection is orthogonal: every tan(alpha/2) gets its row
+        assert (code, err.getvalue()) == (0, "")
         rows = [line.split(",") for line in out.splitlines()[2:]]
         assert len(rows) == len(tans)
         for row in rows:
@@ -418,7 +443,8 @@ COMPARE_ERRORS = re.compile(
     r"epsilon=\S+, delta=\S+"
     r"|epsilon grid must be strictly increasing"
     r"|epsilon grid '\S+' has neighbouring points that both print as \S+"
-    r"|power-law fit needs abscissae whose logs spread at least 1e-06, got \S+)\n")
+    r"|power-law fit needs abscissae whose logs spread at least 1e-06, got \S+"
+    r"|power-law fit coefficient exp\(\S+\) is out of floating-point range)\n")
 
 
 def state_spec(amps, scale=1.0):
@@ -589,7 +615,8 @@ def readme_examples() -> list[tuple[str, list[str]]]:
 
 
 def test_readme_lists_examples():
-    assert [cmd.split()[1] for cmd, _ in readme_examples()] == ["weak-value", "compare", "amplify"]
+    assert [cmd.split()[1] for cmd, _ in readme_examples()] == ["weak-value", "compare", "amplify",
+                                                                 "amplify"]
 
 
 @pytest.mark.parametrize("command, shown", [pytest.param(cmd, shown, id=cmd)

@@ -9,10 +9,11 @@ with an ulp/eps^2 floor. With a complex weak value that sine leads with the
 first moment sum_j w_j (a_j - Re A_w), which cancels as much as its
 condition number says. The amplification table is a closed form in sums of
 non-negative terms, so its mean shift and post-selection probability hold
-about one ulp for tan(alpha/2) from 1e-8 to 1e11 and for every kick down to
-subnormal g*eps. Below the smallest kick g*eps/delta that the shift angles
-accept, underflow would leave printed comparison digits wrong, so the shift
-sweep rejects it, and with it a comparison.
+about one ulp of the oracle at the float tan(alpha/2) of each row, for tans
+from 1e-8 to 3.5e15 and for every kick down to subnormal g*eps. Below the
+smallest kick g*eps/delta that the shift angles accept, underflow would
+leave printed comparison digits wrong, so the shift sweep rejects it, and
+with it a comparison.
 """
 
 import math
@@ -44,7 +45,6 @@ from wvsim.scenarios import (
     expectation_scenario,
     fit_power_law,
     run_comparison,
-    spin_amplification_scenario,
     weak_value_one_scenario,
 )
 
@@ -70,15 +70,20 @@ WEAK_VALUE_TOL = 1e-15
 FIT_EXPONENT_TOL = 2e-15
 FIT_COEFFICIENT_TOL = 6e-15
 FIT_RESIDUAL_TOL = 2e-14
-# tan(alpha/2) across the amplification table's range; at 1e12 the selection
-# amplitude <post|pre> falls below the overlap floor
+# tan(alpha/2) across the amplification table's range; 2*atan(1e16) rounds to
+# pi, so that row is swept at the largest alpha below pi, whose tan is 3.5e15
 TANS = (1e-8, 1e-6, 1e-4, 1e-2, 0.3, 1.0, 3.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7,
-        1e8, 1e9, 1e10, 1e11)
+        1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16)
 # a relative error this small still prints the oracle's 12 significant digits
 PRINTED_TOL = 5e-13
 COLUMNS = {"d_eigen": "d_eigen", "d_weak_vs_eigen": "d_weak_vs_eigen",
            "d_expect_vs_eigen": "d_expect_vs_eigen",
            "p_postselect": "postselect_probability", "weakness": "weakness"}
+
+
+def alpha_of(t):
+    """2*atan(t), or the largest alpha below pi where that rounds to pi."""
+    return min(2 * math.atan(t), math.nextafter(math.pi, 0.0))
 
 
 def diagonal(observable):
@@ -218,16 +223,11 @@ def test_weakness_is_expm1_exactly():
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-4, 1e-2, 1e-1])
 def test_amplified_mean_shift(eps):
-    cfg = CouplingConfig(1.0, eps, 1.0)
-    rows = amplification_sweep([2 * math.atan(t) for t in TANS], cfg)
-    for t, row in zip(TANS, rows):
-        spec = spin_amplification_scenario(2 * math.atan(t), cfg)
-        pre, post, values = spec.pre.amplitudes, spec.post.amplitudes, diagonal(spec.observable)
-        exact = mporacle.mean_shift(pre, post, values, 1.0, 1.0, eps)
-        p = mporacle.comparison_row(pre, post, values, pre, values, 1.0, 1.0, eps)["p_postselect"]
-        # measured worst 3.6e-16 and 2.8e-16 over tan in [1e-8, 1e11], eps in [1e-6, 3]
-        assert mporacle.rel_error(row.mean_shift_over_g_eps, exact) <= ULP_TOL, t
-        assert mporacle.rel_error(row.postselect_probability, p) <= ULP_TOL, t
+    # against the oracle at the float tan each row prints; measured worst
+    # 3.2e-16 (shift) and 2.8e-16 (p) over tan in [1e-8, 3.5e15], eps in
+    # [1e-12, 3]
+    errors = amplification_errors(CouplingConfig(1.0, eps, 1.0), TANS)
+    assert max(errors) <= ULP_TOL, errors
 
 
 @pytest.mark.parametrize("grid", ["1e-4:1e-3:8:log", "1e-5:1e-4:8:log"])
@@ -283,18 +283,16 @@ def comparison_errors(cfg, grid):
 
 
 def amplification_errors(cfg, tans):
-    """Relative errors of the mean shift and post-selection probability of
-    each tan(alpha/2) row."""
-    rows = amplification_sweep([2 * math.atan(t) for t in tans], cfg)
+    """Relative error of the worse of the mean shift and post-selection
+    probability of each row of `tans`, against the oracle at the row's own
+    float tan(alpha/2)."""
+    table = amplification_sweep(map(alpha_of, tans), cfg)
     errors = []
-    for t, row in zip(tans, rows):
-        spec = spin_amplification_scenario(2 * math.atan(t), cfg)
-        pre, post, values = spec.pre.amplitudes, spec.post.amplitudes, diagonal(spec.observable)
-        shift = mporacle.mean_shift(pre, post, values, cfg.g, cfg.delta, cfg.epsilon)
-        p = mporacle.comparison_row(pre, post, values, pre, values,
-                                    cfg.g, cfg.delta, cfg.epsilon)["p_postselect"]
-        errors.append(max(mporacle.rel_error(row.mean_shift_over_g_eps, shift),
-                          mporacle.rel_error(row.postselect_probability, p)))
+    for t, shift, p in zip(table.tan_half_alpha.tolist(), table.mean_shift_over_g_eps.tolist(),
+                           table.postselect_probability.tolist()):
+        exact = mporacle.amplification_row(t, cfg.g, cfg.delta, cfg.epsilon)
+        errors.append(max(mporacle.rel_error(shift, exact["mean_shift"]),
+                          mporacle.rel_error(p, exact["p_postselect"])))
     return errors
 
 
@@ -319,7 +317,7 @@ def test_amplification_holds_12_digits_down_to_its_smallest_kick(eps, delta):
     # normal float, the next float below it, a tenth of it, and a subnormal
     # g*eps, every row holds the oracle's digits to about one ulp
     errors = amplification_errors(CouplingConfig(1.0, eps, delta), TANS)
-    # measured worst 2.2e-16
+    # measured worst 1.5e-16
     assert max(errors) <= ULP_TOL, errors
     below = CouplingConfig(1.0, eps, math.nextafter(delta, math.inf))
     assert max(amplification_errors(below, TANS)) <= ULP_TOL

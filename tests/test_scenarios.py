@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import mporacle
 from wvsim import cli, pointer, qstate, scenarios
-from wvsim.errors import InvalidData, OrthogonalSelection
-from wvsim.measurement import CouplingConfig, branch_weights, weak_value, weakness
+from wvsim.errors import InvalidData
+from wvsim.measurement import (DEFAULT_OVERLAP_FLOOR, CouplingConfig, branch_weights,
+                               weak_value, weakness)
 from wvsim.scenarios import (
     DEFAULT_EPSILON_GRID,
     WEAKNESS_THRESHOLD,
@@ -290,6 +292,25 @@ class TestFitPowerLaw:
         assert fit.exponent == pytest.approx(2.0, abs=1e-10)
         assert fit.coefficient == pytest.approx(0.25, rel=1e-10)
 
+    @pytest.mark.parametrize("scale, message", [
+        (1e230, r"^power-law fit coefficient exp\(1059\.1891\d*\) is out of floating-point range$"),
+        (1e-200, r"^power-law fit coefficient exp\(-921\.0340\d*\) is out of floating-point range$"),
+    ])
+    def test_coefficient_out_of_float_range_rejected(self, scale, message):
+        # d = (scale eps)^2 is in range, its coefficient scale^2 overflows
+        # or underflows, at the grids of `compare --g 1e230` and `--g 1e-200`
+        eps = np.geomspace(1e-300 if scale > 1 else 1e150, 1e-250 if scale > 1 else 1e151, 5)
+        points = [(e, (scale * e) ** 2) for e in eps.tolist()]
+        with pytest.raises(InvalidData, match=message):
+            fit_power_law(points)
+
+    def test_coefficient_at_the_ends_of_float_range(self):
+        # coefficients near the largest and smallest normal floats still fit
+        for c, lo in ((1e308, 0.1), (2.5e-308, 1.0)):
+            eps = np.geomspace(lo, 10 * lo, 5)
+            fit = fit_power_law(list(zip(eps, c * eps)))
+            assert fit.coefficient == pytest.approx(c, rel=1e-12)
+
     def test_sweep_exponents_and_coefficients(self):
         rows = run_comparison([weak_value_one_scenario(CFG), expectation_scenario(CFG)])
         weak_fit = fit_power_law([(r.epsilon, r.d_weak_vs_eigen) for r in rows])
@@ -440,34 +461,29 @@ class TestAmplificationSweep:
             per_size.append(dict(counts))
         assert per_size[0] == per_size[1]
 
-    def test_selections_are_the_complex_normaliser_bit_for_bit(self):
-        # the real rows equal qstate.normalize(rows).real, whose complex
-        # division by the real norm multiplies by its reciprocal
-        rng = np.random.default_rng(20)
-        tans = 10.0 ** rng.uniform(-300.0, 15.5, 20000)
-        alphas = np.concatenate([2 * np.arctan(tans), rng.uniform(0.0, math.pi, 5000)[1:],
-                                 [5e-324, 1e-300, math.nextafter(math.pi, 0.0), math.pi / 2]])
-        c, s = np.cos(alphas / 2), np.sin(alphas / 2)
-        inv = 1.0 / math.sqrt(2.0)
-        reference = qstate.normalize(np.stack([(c - s) * inv, (c + s) * inv], axis=-1))
-        got = scenarios._spin_selections(alphas)
-        assert got.dtype == np.float64
-        assert got.tobytes() == np.ascontiguousarray(reference.real).tobytes()
-        (one,) = scenarios._spin_selections(np.array([2 * math.atan(1e5)]))
-        spec = spin_amplification_scenario(2 * math.atan(1e5), CFG)
-        assert spec.pre.amplitudes == tuple(complex(p) for p in one.tolist())
-
     @pytest.mark.parametrize("g, eps, delta, tan, error", [
-        (1e300, 1e10, 1.0, 1e13, InvalidData),  # g*eps overflows before orthogonality
-        (1.0, 1e-12, 1e-300, 1e13, OrthogonalSelection),  # orthogonality before x
+        (1e300, 1e10, 1.0, 1e13, InvalidData),  # g*eps overflows
         (1e200, 1e-3, 1e-300, 10.0, InvalidData),  # x = g*eps/delta overflows
         (1.0, 1e200, 1.0, 10.0, InvalidData),  # x*x overflows
     ])
     def test_range_errors_in_kernel_order(self, g, eps, delta, tan, error):
-        match = ("^g\\*epsilon/delta is out of floating-point range for "
-                 if error is InvalidData else "^pre- and post-selection are orthogonal$")
-        with pytest.raises(error, match=match):
+        with pytest.raises(error, match="^g\\*epsilon/delta is out of floating-point range for "):
             amplification_sweep([1.0, 2 * math.atan(tan)], CouplingConfig(g, eps, delta))
+
+    @pytest.mark.parametrize("tan", [1e13, 1e15, 1e16])
+    def test_no_selection_is_orthogonal(self, tan):
+        # <post|pre> = 1/sqrt(1+t^2) is never taken as a difference, so a row
+        # whose selection amplitude lies below the general kernel's overlap
+        # floor holds the oracle's digits like any other; 2*atan(1e16) rounds
+        # to pi, so that row takes the largest alpha below pi
+        alpha = min(2 * math.atan(tan), math.nextafter(math.pi, 0.0))
+        cfg = CouplingConfig(1.0, 1e-12, 1.0)
+        (row,) = amplification_sweep([alpha], cfg)
+        t = math.tan(alpha / 2)
+        assert row.tan_half_alpha == t and 1 / t <= DEFAULT_OVERLAP_FLOOR
+        exact = mporacle.amplification_row(t, 1.0, 1.0, 1e-12)
+        assert mporacle.rel_error(row.mean_shift_over_g_eps, exact["mean_shift"]) <= KERNEL_ULP_TOL
+        assert mporacle.rel_error(row.postselect_probability, exact["p_postselect"]) <= KERNEL_ULP_TOL
 
     def test_unit_weak_value_shift_is_exact(self):
         cfg = CouplingConfig(g=1.0, epsilon=1e-4, delta=1.0)
