@@ -154,6 +154,8 @@ def positive(value, name: str) -> float:
         x = float(value)
     except (TypeError, ValueError):
         raise InvalidData(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:  # an integer, from a config file, beyond the floats
+        raise InvalidData(f"{name} is out of floating-point range") from None
     if not 0 < x < math.inf:
         raise InvalidData(f"{name} must be positive and finite, got {x}")
     return x

@@ -10,6 +10,7 @@ values enter), or the Born weights |<a_j|pre>|^2 of a mixture without it.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from bisect import bisect_left
@@ -75,7 +76,10 @@ def weak_value(pre: SystemState, post: SystemState, a: Observable) -> complex:
     if abs(denom) <= DEFAULT_OVERLAP_FLOOR:
         raise OrthogonalSelection(f"|<post|pre>| = {abs(denom):.3e} at or below "
                                   f"floor {DEFAULT_OVERLAP_FLOOR:.3e}")
-    return complex(np.vdot(post.vector, a.matrix @ pre.vector)) / denom
+    value = complex(np.vdot(post.vector, a.matrix @ pre.vector)) / denom
+    if not cmath.isfinite(value):
+        raise InvalidData("weak value <post|A|pre>/<post|pre> is out of floating-point range")
+    return value
 
 
 def branch_weights(pre: SystemState, post: SystemState | None,
@@ -98,8 +102,9 @@ def weakness(kicks, weights, delta):
     The real and imaginary parts of the change are one reduce over the term
     axis of a (terms, 2, ...) stack, which adds the terms in order.
     """
-    base = np.abs(np.add.reduce(weights, axis=-1))
-    if np.logical_or.reduce(base <= DEFAULT_OVERLAP_FLOOR, axis=None):
+    # np.abs: Python's abs of a numpy complex scalar rounds differently
+    base = np.abs(np.add.reduce(weights))
+    if base <= DEFAULT_OVERLAP_FLOOR:
         raise OrthogonalSelection("pre- and post-selection are orthogonal")
     x, w = pointer._nonzero_terms(kicks, weights, delta)
     parts = (np.concatenate((w.real[:, None], w.imag[:, None]), axis=1)

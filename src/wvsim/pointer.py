@@ -4,8 +4,9 @@ G_u = (2 pi D^2)^(-1/4) exp(-(Q - u)^2 / (4 D^2)) is the unit-norm Gaussian of
 width D centred at u, and <G_a|G_b> = exp(-(a - b)^2 / (8 D^2)), so norms,
 moments and Bures angles carry no discretization error. A pointer is a pair
 of arrays: the kicks u_j and the weights w_j (amplitudes of a pure pointer, or
-probabilities of a mixture). Every function takes the terms along the last
-axis and broadcasts over the leading ones, one row per epsilon.
+probabilities of a mixture). Every function takes the kicks' terms along
+their last axis and broadcasts over the leading ones, one row per epsilon,
+with one weight vector of shape (d,) shared by every row.
 
 Each quantity is written without cancellation in the weak regime (kicks small
 against D): departures from zero-kick values go through expm1, and each angle
@@ -156,18 +157,13 @@ def _gram(x, weights):
 
 
 def _nonzero_terms(kicks, weights, delta):
-    """x = u / D and the weights, with the terms moved to the first axis and
-    the weights shaped to broadcast against x; a weight vector shared by every
-    row loses its terms of weight exactly 0."""
+    """x = u / D with the terms moved to the first axis, and the weight
+    vector, shared by every row, shaped to broadcast against it; both lose
+    the terms of weight exactly 0."""
     x = np.asarray(kicks, dtype=float) / delta
     w = np.asarray(weights)
-    kept = None
-    if w.ndim == 1 and x.shape[-1:] == w.shape:
-        kept = _kept_terms(w)[0]
-        w = w.reshape((-1,) + (1,) * (x.ndim - 1))
-    else:
-        x, w = np.broadcast_arrays(x, w)
-        w = w.transpose(-1, *range(w.ndim - 1))
+    kept = _kept_terms(w)[0]
+    w = w.reshape((-1,) + (1,) * (x.ndim - 1))
     x = x.transpose(-1, *range(x.ndim - 1))
     if kept is not None:
         x, w = x.take(kept, 0), w.take(kept, 0)
@@ -175,9 +171,9 @@ def _nonzero_terms(kicks, weights, delta):
 
 
 def mixture_angle(kicks, weights, delta):
-    """Bures angle in [0, pi/2] between the mixture
-    sum_j p_j |G_{u_j}><G_{u_j}| (weights p_j >= 0, not necessarily summing
-    to 1) and G_0: its squared cosine is sum_j p_j exp(-u_j^2 / 4D^2) / sum_j p_j.
+    """Bures angle in [0, pi/2] between the mixture sum_j p_j |G_{u_j}><G_{u_j}|
+    (one weight vector p_j >= 0 of shape (d,), not necessarily summing to 1)
+    and G_0: its squared cosine is sum_j p_j exp(-u_j^2 / 4D^2) / sum_j p_j.
     Both sums, of p_j (-expm1) and p_j exp, are one reduce over the term axis
     of a (terms, 2, ...) stack, which adds the terms in order."""
     x, p = _nonzero_terms(kicks, weights, delta)

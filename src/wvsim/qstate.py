@@ -53,7 +53,10 @@ class Observable:
             raise InvalidData(f"observable labels {labels} are not distinct")
         if list(labels) != sorted(labels):
             raise InvalidData(f"observable labels {labels} must be sorted ascending")
-        m = np.array(self.matrix, dtype=complex)
+        try:
+            m = np.array(self.matrix, dtype=complex)
+        except OverflowError:  # an integer entry beyond the floats
+            raise InvalidData("matrix has an entry out of floating-point range") from None
         n = len(labels)
         if m.shape != (n, n):
             raise InvalidData(f"matrix shape {m.shape} does not match {n} labels")
@@ -80,7 +83,7 @@ class Observable:
         labels = tuple(int(lab) for lab in labels)
         if values is None:
             values = labels
-        return cls(labels, np.diag(np.asarray(values, dtype=complex)))
+        return cls(labels, np.diag(values))
 
     @cached_property
     def eigenbasis(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -116,24 +119,15 @@ def make_state(pairs: Iterable[tuple[int, complex]]) -> SystemState:
             raise InvalidData(f"amplitude of label {label} is not finite: {amp}")
         seen.add(label)
     items.sort(key=lambda t: t[0])
-    vec = normalize(np.array([amp for _, amp in items], dtype=complex))
-    return SystemState(tuple(label for label, _ in items), tuple(vec.tolist()))
-
-
-def normalize(vec) -> np.ndarray:
-    """Each row of finite amplitudes `vec` (its last axis) divided by its
-    norm, as a new complex array; a row of zeros is an error."""
-    parts = np.ascontiguousarray(vec, dtype=complex).view(float)
-    # Rescale each row by a power of two (exact) so its largest real or
-    # imaginary part lies in [0.5, 1): the norm can then neither overflow nor
-    # underflow.
-    e = np.frexp(np.abs(parts).max(axis=-1, keepdims=True, initial=0.0))[1]
-    parts = np.ldexp(parts, -e)
+    parts = np.array([amp for _, amp in items], dtype=complex).view(float)
+    # Rescale by a power of two (exact) so the largest real or imaginary part
+    # lies in [0.5, 1): the norm can then neither overflow nor underflow.
+    parts = np.ldexp(parts, -np.frexp(np.abs(parts).max(initial=0.0))[1])
     # The sum numpy.linalg.norm forms (so bit-identical), without its
     # argument handling, which costs more than the arithmetic here.
-    re, im = parts[..., 0::2], parts[..., 1::2]
-    norm = np.sqrt(np.vecdot(re, re, keepdims=True) + np.vecdot(im, im, keepdims=True))
-    if not norm.all():
+    re, im = parts[0::2], parts[1::2]
+    norm = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    if not norm:
         raise InvalidData("all amplitudes are zero")
-    return parts.view(complex) / norm
-
+    vec = parts.view(complex) / norm
+    return SystemState(tuple(label for label, _ in items), tuple(vec.tolist()))

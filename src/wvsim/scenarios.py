@@ -16,7 +16,7 @@ import math
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain, repeat
 from typing import NamedTuple
 
@@ -101,13 +101,13 @@ class AmplificationRow(NamedTuple):
 _amplification_row = partial(tuple.__new__, AmplificationRow)
 
 
-class AmplificationTable(Sequence):
+class AmplificationTable:
     """The amplification table as columns: one read-only array of length n
     per `AmplificationRow` field, in field order (`weak` is boolean).
 
-    As a sequence it reads as its `AmplificationRow` rows, which are built
-    from the columns' `tolist()` once, on first use. It equals another table
-    whose columns are equal, and a list of equal rows.
+    Iterating it yields its `AmplificationRow` rows, each built from the
+    columns' `tolist()` as it is read. It equals another table whose columns
+    are equal.
     """
 
     # a plain class: making it a dataclass would add about 1 ms to the import
@@ -123,27 +123,18 @@ class AmplificationTable(Sequence):
             column.flags.writeable = False
             setattr(self, name, column)
 
-    @cached_property
-    def _rows(self) -> list[AmplificationRow]:
-        return list(map(_amplification_row, zip(
-            *(getattr(self, name).tolist() for name in AmplificationRow._fields))))
-
     def __len__(self) -> int:
         return len(self.weak)
 
-    def __getitem__(self, index):
-        return self._rows[index]
-
     def __iter__(self):
-        return iter(self._rows)
+        return map(_amplification_row, zip(
+            *(getattr(self, name).tolist() for name in AmplificationRow._fields)))
 
     def __eq__(self, other):
-        if isinstance(other, AmplificationTable):
-            return all(np.array_equal(getattr(self, name), getattr(other, name))
-                       for name in AmplificationRow._fields)
-        if isinstance(other, list):
-            return self._rows == other
-        return NotImplemented
+        if not isinstance(other, AmplificationTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in AmplificationRow._fields)
 
 
 def spin_amplification_scenario(alpha: float, cfg: CouplingConfig) -> ScenarioSpec:
@@ -164,8 +155,8 @@ def spin_amplification_scenario(alpha: float, cfg: CouplingConfig) -> ScenarioSp
 def _half_angle_tans(alphas: np.ndarray) -> np.ndarray:
     """tan(alpha/2) of each alpha, by `math.tan`, which differs from `np.tan`
     by an ulp on about 0.4% of tan(alpha/2) in [1, 1e5]; each alpha must lie
-    in (0, pi)."""
-    if not (alphas.min() > 0.0 and alphas.max() < math.pi):  # NaN fails too
+    in (0, pi), which a NaN fails and an empty array passes."""
+    if not (alphas.min(initial=math.inf) > 0.0 and alphas.max(initial=-math.inf) < math.pi):
         bad = ~((alphas > 0.0) & (alphas < math.pi))
         raise InvalidData(f"alpha must lie in (0, pi), got {float(alphas[bad.argmax()])}")
     return np.fromiter(map(math.tan, (alphas / 2).tolist()), float, alphas.size)
@@ -320,11 +311,7 @@ def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> Amplifi
     about one ulp at the float t however small 1/(1+t^2) or the kick; t is
     at most about 3.5e15 for alpha below pi, so t^2 cannot overflow.
     """
-    alphas = np.fromiter(alphas, float)
-    n = alphas.size
-    if not n:
-        return AmplificationTable(*(np.empty(0) for _ in range(4)), np.empty(0, bool))
-    t = _half_angle_tans(alphas)
+    t = _half_angle_tans(np.fromiter(alphas, float))
     # an overflowing g*eps, x or x^2 leaves h infinite
     x = float(cfg.g) * float(cfg.epsilon) / float(cfg.delta)
     h = x * x / -2.0
@@ -341,7 +328,7 @@ def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> Amplifi
     # most (1+S)/2, so rounding cannot take it above 1
     return AmplificationTable(
         t, 2.0 * b / ((1.0 + s) / a + t * (b * one_minus_s)),
-        one_minus_s / 2.0 + s / (1.0 + t2), np.full(n, metric),
+        one_minus_s / 2.0 + s / (1.0 + t2), np.full(t.size, metric),
         # the drift (1-S)|t^2-1|/2 within the threshold
         (one_minus_s * np.abs(t2 - 1.0) <= 2.0 * WEAKNESS_THRESHOLD)
         & (metric <= WEAKNESS_THRESHOLD))

@@ -66,6 +66,27 @@ def test_amplify_operation_builds_no_rows(workloads, tmp_path, monkeypatch):
         assert min(digits[key]) >= floor - MIN_DIGITS_BOUND, key
 
 
+@pytest.mark.parametrize("name", sorted(SEED_1_DIGITS))
+def test_repeated_operation_passes_the_repeat_check(workloads, name, tmp_path):
+    # perfbench/run.py fails an operation whose output `!=` the first output
+    # on the same input, so a repeat must compare equal under that operator
+    wl = workloads.WORKLOADS[name](1, tmp_path)
+    wl.prepare()
+    first = wl.op(0)
+    assert not wl.op(0) != first
+
+
+def test_amplify_output_with_one_column_changed_fails_the_repeat_check(workloads, tmp_path):
+    wl = workloads.WORKLOADS["amplify_table"](1, tmp_path)
+    first = wl.op(0)
+    for changed in scenarios.AmplificationRow._fields:
+        columns = [getattr(first, name) for name in scenarios.AmplificationRow._fields]
+        k = scenarios.AmplificationRow._fields.index(changed)
+        columns[k] = columns[k].copy()
+        columns[k][-1] = not columns[k][-1] if columns[k].dtype == bool else columns[k][-1] * 2
+        assert scenarios.AmplificationTable(*columns) != first, changed
+
+
 def test_smoke_comparison_with_an_explicit_grid(workloads):
     # the call `perfbench/run.py --smoke` makes, with its pass condition
     cfg = CouplingConfig(1.0, 1e-2, 1.0)

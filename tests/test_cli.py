@@ -142,6 +142,11 @@ class TestWeakValueCommand:
         ("compare --eps-grid 1e150:1e151:5:log --g 1e-200", 2,
          "wvsim: error: power-law fit coefficient exp(-922.073757968) is out of "
          "floating-point range\n"),
+        # finite input never prints an infinite weak value with exit 0
+        (f"weak-value --pre=0:1,{10**307}:1 --post=0:1,{10**307}:-0.999999 --obs diag", 2,
+         "wvsim: error: weak value <post|A|pre>/<post|pre> is out of floating-point range\n"),
+        (f"weak-value --pre=0:1,{10**400}:1 --post=0:1,{10**400}:1 --obs diag", 2,
+         "wvsim: error: matrix has an entry out of floating-point range\n"),
     ])
     def test_error_line_and_exit_code(self, capsys, argv, code, err):
         assert run(capsys, *argv.split()) == (code, "", err)
@@ -572,8 +577,10 @@ class TestConfigFile:
          "config key 'eps' is not read by weak-value; it reads pre, post, obs"),
         ("compare", {"format": "pretty"},
          "config key 'format' is not read by compare; it reads g, delta, eps, eps-grid"),
+        ("compare", {"g": 10**400}, "g is out of floating-point range"),
+        ("amplify", {"eps": -10**400}, "eps is out of floating-point range"),
     ], ids=["bool-g", "bool-eps", "unknown-key", "other-command-key", "weak-value-key",
-            "format-key"])
+            "format-key", "int-g-beyond-floats", "int-eps-beyond-floats"])
     def test_bad_config_exits_2(self, capsys, tmp_path, command, config, err):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))

@@ -2,10 +2,11 @@
 
 Each file in `tests/golden/` holds one invocation: its `$ wvsim ...` command
 line, the exit code, then stdout and stderr byte for byte. The test runs
-every command through `cli.main` and compares the whole record, so a change
-that moves a printed byte shows as a diff of these files. To add a case,
-write a file holding only its command line; to regenerate every file from
-the current program, run
+every command through `cli.main`, from `tests/golden/`, and compares the
+whole record, so a change that moves a printed byte shows as a diff of these
+files. A `--config` file a command names sits there too, beside its record.
+To add a case, write a file holding only its command line; to regenerate
+every file from the current program, run
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -15,6 +16,7 @@ and review the diff before committing it.
 import contextlib
 import difflib
 import io
+import os
 import shlex
 import sys
 from pathlib import Path
@@ -31,10 +33,15 @@ def command_of(path: Path) -> str:
 
 
 def record(command: str) -> str:
-    """The golden record of one in-process run of `wvsim command`."""
+    """The golden record of one in-process run of `wvsim command` in GOLDEN."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(shlex.split(command))
+    cwd = os.getcwd()
+    os.chdir(GOLDEN)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(shlex.split(command))
+    finally:
+        os.chdir(cwd)
     return (f"$ wvsim {command}\nexit {code}\n--- stdout\n{out.getvalue()}"
             f"--- stderr\n{err.getvalue()}")
 

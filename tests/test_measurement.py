@@ -70,6 +70,14 @@ class TestWeakValue:
                            match=r"\|<post\|pre>\| = 0.000e\+00 at or below floor 1.000e-12"):
             weak_value(a, b, Observable.diagonal((0, 1)))
 
+    def test_quotient_beyond_float_range_rejected(self):
+        label = 10**307
+        pre = make_state([(0, 1), (label, 1)])
+        post = make_state([(0, 1), (label, -0.999999)])
+        with pytest.raises(InvalidData, match=r"^weak value <post\|A\|pre>/<post\|pre> is out "
+                                              r"of floating-point range$"):
+            weak_value(pre, post, Observable.diagonal((0, label)))
+
     def test_overlap_floor_is_fixed_at_1e_12(self):
         pre = make_state([(0, 1), (1, 1e-8)])
         post = make_state([(0, 0), (1, 1)])

@@ -164,10 +164,11 @@ class TestBroadcasting:
             assert rows.shape == (5,)
             for k, row in zip(kicks, rows):
                 assert row == quantities(k, weights, 0.7)[q]
-        probs = rng.uniform(size=(5, 3))
+        probs = rng.uniform(size=3)
         rows = mixture_angle(kicks, probs, 0.7)
-        for k, p, row in zip(kicks, probs, rows):
-            assert row == mixture_angle(k, p, 0.7)
+        assert rows.shape == (5,)
+        for k, row in zip(kicks, rows):
+            assert row == mixture_angle(k, probs, 0.7)
 
 
 def gram_angle_reference(kicks, weights, delta):

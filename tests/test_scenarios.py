@@ -407,14 +407,15 @@ class TestAmplificationSweep:
             assert row.postselect_probability == pytest.approx(1 / (1 + target ** 2), abs=1e-3)
         assert amplification_sweep(iter(alphas), cfg) == rows
         assert amplification_sweep(np.array(alphas), cfg) == rows
-        assert amplification_sweep(iter([]), cfg) == amplification_sweep(np.array([]), cfg) == []
+        empty = amplification_sweep(iter([]), cfg)
+        assert empty == amplification_sweep(np.array([]), cfg) and list(empty) == []
 
     @pytest.mark.parametrize("eps", [1e-5, 1e-4, 3e-3, 1e-2])
     def test_sweep_equals_row_by_row_reference_bitwise(self, eps):
         tans = [*10.0 ** np.random.default_rng(9).uniform(-8.0, 12.0, 60), 0.5, 1, 2, 10, 100, 1000, 50000, 1e5]
         alphas = [2 * math.atan(t) for t in tans]
         cfg = CouplingConfig(g=1.5, epsilon=eps, delta=2.0)
-        rows = amplification_sweep(alphas, cfg)
+        rows = list(amplification_sweep(alphas, cfg))
         # each row depends on its own alpha alone, bit for bit
         alone = [row for alpha in alphas for row in amplification_sweep([alpha], cfg)]
         assert np.array(rows, dtype=float).tobytes() == np.array(alone, dtype=float).tobytes()
@@ -537,13 +538,13 @@ class TestAmplificationTable:
         rows = list(table)
         assert all(type(row) is AmplificationRow for row in rows)
         # row by row: Python floats and a bool, each the bits of its column entry
+        assert len(rows) == len(table)
         for i, row in enumerate(rows):
             assert [type(v) for v in row] == [float] * 4 + [bool]
-            assert table[i] is row
             for name, value in zip(AmplificationRow._fields, row):
                 assert np.array([value]).tobytes() == getattr(table, name)[i:i + 1].tobytes()
-        assert table[1:3] == rows[1:3]
-        assert table[-1] is rows[-1]
+        # every iteration reads the same rows
+        assert list(table) == rows
         # and each row is what a sweep of its angle alone gives, bit for bit
         alone = [row for t in self.TANS for row in amplification_sweep([2 * math.atan(t)], self.CFG)]
         assert np.array(rows, dtype=float).tobytes() == np.array(alone, dtype=float).tobytes()
@@ -551,25 +552,14 @@ class TestAmplificationTable:
     def test_equality(self):
         table = self.sweep()
         assert table == self.sweep()
-        assert table == list(self.sweep())
-        assert not table != list(table)
+        assert list(table) == list(self.sweep())
+        assert not table != self.sweep()
         other = amplification_sweep([2 * math.atan(t) for t in self.TANS[:-1]], self.CFG)
         assert table != other
-        assert table != list(other)
+        assert list(table) != list(other)
+        # a table equals only another table
+        assert table != list(table)
         assert table != tuple(table)
-        assert amplification_sweep([], self.CFG) == []
+        assert list(amplification_sweep([], self.CFG)) == []
         assert amplification_sweep([], self.CFG) == amplification_sweep(np.array([]), self.CFG)
         assert table != []
-
-    def test_rows_are_built_once_on_first_use(self, monkeypatch):
-        calls = []
-        row = scenarios._amplification_row
-        monkeypatch.setattr(scenarios, "_amplification_row",
-                            lambda values: calls.append(1) or row(values))
-        table = self.sweep()
-        assert len(calls) == 0
-        assert len(table) == len(self.TANS) and len(calls) == 0
-        first = list(table)
-        assert len(calls) == len(self.TANS)
-        assert list(table) == first and table[0] is first[0]
-        assert len(calls) == len(self.TANS)
