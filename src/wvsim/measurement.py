@@ -39,12 +39,12 @@ class CouplingConfig:
     epsilon: float
     delta: float
 
-    def __post_init__(self):
-        if not (0 < self.g < math.inf and 0 < self.epsilon < math.inf
-                and 0 < self.delta < math.inf):
-            raise InvalidData(
-                f"g, epsilon and delta must be positive and finite, got "
-                f"({self.g}, {self.epsilon}, {self.delta})")
+    def __init__(self, g: float, epsilon: float, delta: float):
+        # by hand: callers build one per epsilon, and __post_init__ costs a third more
+        if not (0 < g < math.inf and 0 < epsilon < math.inf and 0 < delta < math.inf):
+            raise InvalidData(f"g, epsilon and delta must be positive and finite, got "
+                              f"({g}, {epsilon}, {delta})")
+        vars(self).update(g=g, epsilon=epsilon, delta=delta)
 
 
 class ShiftCheck(NamedTuple):
@@ -126,9 +126,8 @@ def _check_smallest_kick(g: float, epsilon: float, delta: float) -> None:
         raise _out_of_range(g, epsilon, delta)
 
 
-# (pre, post, A, g, delta, Re(A_w), grid, angles) of the last sweep, which
-# `effective_shift_check` reads instead of recomputing a row of it; the
-# selection matches by identity, so only the very objects swept hit
+# (pre, post, A, g, delta, Re(A_w), grid, angle list) of the last sweep, which
+# `effective_shift_check` reads; only the very pre, post and A objects swept hit
 _sweep = None
 
 
@@ -137,9 +136,7 @@ def _shift(vals, w, aw: float, g: float, delta: float, eps: np.ndarray):
     increasing array `eps`, from one kernel call; every sweep and a miss of
     `effective_shift_check` come here, so all check the floor."""
     _check_smallest_kick(g, float(eps[0]), delta)
-    # the kicks as the transpose of a terms-first array, the layout in which
-    # the kernel sums over the terms
-    return pointer.angle_and_norm(((vals - aw)[:, None] * (g * eps)).T, w, delta)
+    return pointer.angle_and_norm((vals - aw)[:, None] * (g * eps), w, delta)
 
 
 def shift_sweep(pre: SystemState, post: SystemState, a: Observable, selection,
@@ -157,7 +154,7 @@ def shift_sweep(pre: SystemState, post: SystemState, a: Observable, selection,
     vals, w, aw = selection
     angles, norms = _shift(vals, w, aw, g, delta, eps)
     angles.flags.writeable = False
-    _sweep = (pre, post, a, g, delta, aw, grid, angles)
+    _sweep = (pre, post, a, g, delta, aw, grid, angles.tolist())
     return angles, norms
 
 
@@ -184,7 +181,7 @@ def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
         grid = sweep[6]
         i = bisect_left(grid, eps)
         if i < len(grid) and grid[i] == eps:
-            return ShiftCheck(ideal, float(sweep[7][i]))
+            return ShiftCheck(ideal, sweep[7][i])
     vals, w = branch_weights(pre, post, a)
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):

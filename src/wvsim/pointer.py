@@ -4,9 +4,9 @@ G_u = (2 pi D^2)^(-1/4) exp(-(Q - u)^2 / (4 D^2)) is the unit-norm Gaussian of
 width D centred at u, and <G_a|G_b> = exp(-(a - b)^2 / (8 D^2)), so norms,
 moments and Bures angles carry no discretization error. A pointer is a pair
 of arrays: the kicks u_j and the weights w_j (amplitudes of a pure pointer, or
-probabilities of a mixture). Every function takes the kicks' terms along
-their last axis and broadcasts over the leading ones, one row per epsilon,
-with one weight vector of shape (d,) shared by every row.
+probabilities of a mixture). Every function takes the kicks terms-first, as
+(d, rows) or as (d,) for one pointer, the layout it sums in, and gives one
+result per row (epsilon), all rows sharing one weight vector of shape (d,).
 
 Each quantity is written without cancellation in the weak regime (kicks small
 against D): departures from zero-kick values go through expm1, and each angle
@@ -50,7 +50,7 @@ _FACTORIALS = np.array([float(math.factorial(n)) for n in range(1, _SERIES_TERMS
 
 def angle_and_norm(kicks, weights, delta):
     """(Bures angle in [0, pi/2] to G_0, squared norm) of the pure pointer
-    sum_j w_j G_{u_j}, from one pass over its terms: one row per leading
+    sum_j w_j G_{u_j}, from one pass over its terms: one row per trailing
     index of the kicks, all sharing the one weight vector, of shape (d,),
     which need not be normalized.
 
@@ -76,21 +76,20 @@ def angle_and_norm(kicks, weights, delta):
     """
     x = np.asarray(kicks, dtype=float) / delta
     w = np.asarray(weights)
-    lead, d = x.shape[:-1], x.shape[-1]
-    if d <= 1:
-        return _gram(x, w)
-    x = x.reshape(-1, d)
-    y = np.multiply(x.T, 0.5, order="C")
+    rows, x = x.shape[1:], x.reshape(len(x), -1)
+    y = x * 0.5
     yy = y * y
+    if len(x) <= 1:  # one kick: C is 1x1 and does not cancel
+        angle, norm = _gram(x.T, w)
     # a NaN kick fails this and the per-row test alike
-    if np.maximum.reduce(yy, axis=None, initial=-math.inf) <= _SERIES_T_MAX:
+    elif np.maximum.reduce(yy, axis=None, initial=-math.inf) <= _SERIES_T_MAX:
         angle, norm = _series(y, yy, w)
     else:
         series = np.max(yy, axis=0) <= _SERIES_T_MAX
-        angle, norm = np.empty((2, len(x)))
+        angle, norm = np.empty((2, x.shape[1]))
         angle[series], norm[series] = _series(y[:, series], yy[:, series], w)
-        angle[~series], norm[~series] = _gram(x[~series], w)
-    return angle.reshape(lead)[()], norm.reshape(lead)[()]
+        angle[~series], norm[~series] = _gram(x.T[~series], w)
+    return angle.reshape(rows)[()], norm.reshape(rows)[()]
 
 
 def _kept_terms(w):
@@ -157,14 +156,11 @@ def _gram(x, weights):
 
 
 def _nonzero_terms(kicks, weights, delta):
-    """x = u / D with the terms moved to the first axis, and the weight
-    vector, shared by every row, shaped to broadcast against it; both lose
-    the terms of weight exactly 0."""
+    """x = u / D and the weight vector shaped to broadcast on it, both less terms of weight 0."""
     x = np.asarray(kicks, dtype=float) / delta
     w = np.asarray(weights)
     kept = _kept_terms(w)[0]
     w = w.reshape((-1,) + (1,) * (x.ndim - 1))
-    x = x.transpose(-1, *range(x.ndim - 1))
     if kept is not None:
         x, w = x.take(kept, 0), w.take(kept, 0)
     return x, w
@@ -189,8 +185,10 @@ def mean_position(kicks, weights, delta):
     """<Q> of the normalized pointer, from <G_a|Q|G_b> = ((a + b)/2) <G_a|G_b>:
     Re[conj(sum_j w_j u_j) sum_k w_k + (w u)^H (S - 1) w] over the squared
     norm of `angle_and_norm`."""
-    x = np.asarray(kicks, dtype=float) / delta
+    # a row must not depend on the others: the terms contiguous along the last axis, and
+    # Re(conj(a) b) in real arithmetic, as numpy rounds complex array and scalar products apart
+    x = np.moveaxis(np.asarray(kicks, dtype=float) / delta, 0, -1).copy()
     wx = weights * x
-    num = ((np.conj(np.sum(wx, axis=-1)) * np.sum(weights, axis=-1)).real
-           + _form(wx, np.expm1(_gram_exponent(x)), weights))
+    a, b = np.sum(wx, axis=-1), np.sum(weights, axis=-1)
+    num = (a.real * b.real + a.imag * b.imag) + _form(wx, np.expm1(_gram_exponent(x)), weights)
     return delta * num / angle_and_norm(kicks, weights, delta)[1]

@@ -29,7 +29,7 @@ class SystemState:
 
     @cached_property
     def vector(self) -> np.ndarray:
-        """The amplitudes as a complex array; computed once, read-only."""
+        """The amplitudes as a read-only complex array; make_state's, else computed once."""
         vec = np.asarray(self.amplitudes, dtype=complex)
         vec.flags.writeable = False
         return vec
@@ -48,7 +48,7 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(int(lab) for lab in self.labels)
+        labels = tuple(map(int, self.labels))
         if len(set(labels)) != len(labels):
             raise InvalidData(f"observable labels {labels} are not distinct")
         if list(labels) != sorted(labels):
@@ -60,17 +60,17 @@ class Observable:
         n = len(labels)
         if m.shape != (n, n):
             raise InvalidData(f"matrix shape {m.shape} does not match {n} labels")
-        if not np.isfinite(m).all():
+        scale = np.abs(m).max()
+        if not scale < np.inf:  # NaN or infinite: some entry is not finite
             i, j = np.argwhere(~np.isfinite(m))[0]
             raise InvalidData(f"matrix entry ({labels[i]}, {labels[j]}) is not finite: {m[i, j]}")
         herm = m.conj().T
-        residue = np.max(np.abs(m - herm))
-        scale = np.max(np.abs(m))
+        residue = np.abs(m - herm).max()
         if residue > HERMITICITY_TOL * scale:
             raise InvalidData("matrix is not equal to its conjugate transpose")
         if residue:
             m = m * 0.5 + herm * 0.5  # halved first, so no entry can overflow
-            scale = np.max(np.abs(m))
+            scale = np.abs(m).max()
         m.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matrix", m)
@@ -110,24 +110,41 @@ def make_state(pairs: Iterable[tuple[int, complex]]) -> SystemState:
 
     Labels are sorted ascending; a repeated label is an error, not a merge.
     """
-    items = [(int(label), complex(amp)) for label, amp in pairs]
-    seen: set[int] = set()
-    for label, amp in items:
-        if label in seen:
-            raise InvalidData(f"label {label} given more than once")
-        if not cmath.isfinite(amp):
-            raise InvalidData(f"amplitude of label {label} is not finite: {amp}")
-        seen.add(label)
-    items.sort(key=lambda t: t[0])
-    parts = np.array([amp for _, amp in items], dtype=complex).view(float)
-    # Rescale by a power of two (exact) so the largest real or imaginary part
-    # lies in [0.5, 1): the norm can then neither overflow nor underflow.
-    parts = np.ldexp(parts, -np.frexp(np.abs(parts).max(initial=0.0))[1])
-    # The sum numpy.linalg.norm forms (so bit-identical), without its
-    # argument handling, which costs more than the arithmetic here.
+    pairs = list(pairs)
+    try:  # one numpy pass: top, the largest real or imaginary part, is NaN or inf on a fault
+        labels, amps = zip(*pairs, strict=True) if pairs else ((), ())
+        labels, amps = tuple(map(int, labels)), np.array(amps, dtype=complex)
+        top = (np.abs(amps.view(float)).max(initial=0.0)
+               if amps.shape == (len(set(labels)),) else np.nan)
+    except (TypeError, ValueError, OverflowError):
+        top = np.nan
+    if not top < np.inf:  # the pairs one by one, to word the first fault
+        items = {}
+        for label, amp in pairs:
+            label = int(label)
+            try:
+                amp = complex(amp)
+            except OverflowError:  # an integer amplitude beyond the floats
+                raise InvalidData(f"amplitude of label {label} is out of "
+                                  "floating-point range") from None
+            if label in items:
+                raise InvalidData(f"label {label} given more than once")
+            if not cmath.isfinite(amp):
+                raise InvalidData(f"amplitude of label {label} is not finite: {amp}")
+            items[label] = amp
+        return make_state(items.items())
+    if list(labels) != sorted(labels):
+        order = sorted(range(len(labels)), key=labels.__getitem__)
+        labels, amps = tuple(map(labels.__getitem__, order)), amps[order]
+    # an exact power-of-two rescale to top in [0.5, 1), so the norm cannot overflow
+    # or underflow; then numpy.linalg.norm's sum (bit-identical) without its overhead
+    parts = np.ldexp(amps.view(float), -np.frexp(top)[1])
     re, im = parts[0::2], parts[1::2]
     norm = np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
     if not norm:
         raise InvalidData("all amplitudes are zero")
     vec = parts.view(complex) / norm
-    return SystemState(tuple(label for label, _ in items), tuple(vec.tolist()))
+    vec.flags.writeable = False
+    state = SystemState(labels, tuple(vec.tolist()))
+    object.__setattr__(state, "vector", vec)  # the cached property, filled in
+    return state

@@ -226,11 +226,9 @@ def run_comparison(specs: Iterable[ScenarioSpec],
             x = kick * a_ref / delta
             xx = x * x
             np.arctan2(np.sqrt(-np.expm1(xx / -4.0)), np.exp(xx / -8.0), out=columns[0])
-            # kicks as the transpose of a terms-first array, the layout in
-            # which the kernel sums over the terms
-            columns[2] = pointer.mixture_angle(((vals_x - a_ref)[:, None] * kick).T, born, delta)
+            columns[2] = pointer.mixture_angle((vals_x - a_ref)[:, None] * kick, born, delta)
             np.minimum(norms, 1.0, out=columns[3])
-            columns[4] = weakness((vals[:, None] * kick).T, w, delta)
+            columns[4] = weakness(vals[:, None] * kick, w, delta)
     except FloatingPointError:
         raise _out_of_range(g, grid[-1], delta) from None
     return list(map(tuple.__new__, repeat(ComparisonRow), zip(grid, *columns.tolist())))

@@ -158,23 +158,24 @@ class TestMeanPosition:
 class TestBroadcasting:
     def test_rows_match_single_evaluations(self):
         rng = np.random.default_rng(4)
-        kicks = rng.uniform(-2, 2, size=(5, 3))
+        kicks = rng.uniform(-2, 2, size=(3, 5))
         weights = rng.normal(size=3) + 1j * rng.normal(size=3)
         for q, rows in enumerate(quantities(kicks, weights, 0.7)):
             assert rows.shape == (5,)
-            for k, row in zip(kicks, rows):
+            for k, row in zip(kicks.T, rows):
                 assert row == quantities(k, weights, 0.7)[q]
         probs = rng.uniform(size=3)
         rows = mixture_angle(kicks, probs, 0.7)
         assert rows.shape == (5,)
-        for k, row in zip(kicks, rows):
+        for k, row in zip(kicks.T, rows):
             assert row == mixture_angle(k, probs, 0.7)
 
 
 def gram_angle_reference(kicks, weights, delta):
     """The angle of `angle_and_norm` as the quadratic form w^H C w alone, which is how every
-    pointer was evaluated before the weak-regime series."""
-    x = np.asarray(kicks, dtype=float) / delta
+    pointer was evaluated before the weak-regime series; the kicks come
+    terms-first, like the kernel's, and are summed along the last axis."""
+    x = np.moveaxis(np.asarray(kicks, dtype=float), 0, -1) / delta
     e = np.exp(x * x / -8.0)
     t = x[..., :, None] * x[..., None, :] / 4.0
     d = x[..., :, None] - x[..., None, :]
@@ -207,11 +208,11 @@ class TestWeakRegimeSeries:
                                  edge * np.array([1 - 1e-15, 1.0, 1 + 1e-15])])
         for d in (2, 3, 5, 16):
             base = rng.uniform(-1.0, 1.0, d)
-            kicks = scales[:, None] * (base / np.max(np.abs(base)))
+            kicks = (base / np.max(np.abs(base)))[:, None] * scales
             weights = rng.normal(size=d) + 1j * rng.normal(size=d)
             angles, norms = angle_and_norm(kicks, weights, delta)
             assert angles.shape == norms.shape == (len(scales),)
-            for k, angle, norm in zip(kicks, angles, norms):
+            for k, angle, norm in zip(kicks.T, angles, norms):
                 assert (angle, norm) == angle_and_norm(k, weights, delta)
 
     def test_series_and_quadratic_form_agree_at_the_switch(self):
@@ -227,7 +228,7 @@ class TestWeakRegimeSeries:
                     == gram_angle_reference(outside, weights, 1.0))
 
     def test_one_kick_pointers_keep_the_quadratic_form(self):
-        kicks = np.geomspace(1e-9, 40.0, 50)[:, None] * np.array([[1.0], [-1.0]])[:, :, None]
+        kicks = np.array([1.0, -1.0])[None, :, None] * np.geomspace(1e-9, 40.0, 50)
         for weights in ([1.0], [0.3 - 0.7j]):
             assert np.array_equal(angle_and_norm(kicks, weights, 1.3)[0],
                                   gram_angle_reference(kicks, weights, 1.3))
@@ -301,11 +302,11 @@ def bits(values):
 
 @st.composite
 def series_pointers(draw, complex_weights=True):
-    """(kicks of shape (rows, d), weights of shape (d,)) with d >= 2 nonzero
+    """(kicks of shape (d, rows), weights of shape (d,)) with d >= 2 nonzero
     weights and every kick inside the series range."""
     d, rows = draw(st.integers(2, 8)), draw(st.integers(1, 4))
-    kicks = np.array(draw(st.lists(st.lists(series_kicks, min_size=d, max_size=d),
-                                   min_size=rows, max_size=rows)))
+    kicks = np.array(draw(st.lists(st.lists(series_kicks, min_size=rows, max_size=rows),
+                                   min_size=d, max_size=d)))
     part = (st.builds(complex, nonzero_components, components) if complex_weights
             else nonzero_components)
     return kicks, np.array(draw(st.lists(part, min_size=d, max_size=d)))
@@ -318,8 +319,8 @@ def with_zero_terms(draw, pointer, kick_values):
     kicks, weights = pointer
     for _ in range(draw(st.integers(1, 6))):
         at = draw(st.integers(0, len(weights)))
-        column = draw(st.lists(kick_values, min_size=len(kicks), max_size=len(kicks)))
-        kicks = np.insert(kicks, at, column, axis=1)
+        row = draw(st.lists(kick_values, min_size=kicks.shape[1], max_size=kicks.shape[1]))
+        kicks = np.insert(kicks, at, row, axis=0)
         weights = np.insert(weights, at, 0)
     return kicks, weights
 
@@ -334,8 +335,8 @@ class TestZeroAndRealWeights:
         kicks, weights = pointer
         assert bits(angle_and_norm(kicks, weights, 1.0)) == bits(
             angle_and_norm(kicks, weights + 0j, 1.0))
-        assert bits(angle_and_norm(kicks[0], weights, 1.0)) == bits(
-            angle_and_norm(kicks[0], weights + 0j, 1.0))
+        assert bits(angle_and_norm(kicks[:, 0], weights, 1.0)) == bits(
+            angle_and_norm(kicks[:, 0], weights + 0j, 1.0))
 
     @given(st.data(), st.booleans())
     def test_zero_weight_terms_change_no_bit_of_a_pure_pointer(self, data, complex_weights):

@@ -13,6 +13,17 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 INV_SQRT10 = 0.31622776601683794  # 1/sqrt(10)
 
 
+def seeded_rows(d):
+    """40 seeded complex rows of length d spanning 600 decades, with some
+    zero entries but no all-zero row."""
+    rng = np.random.default_rng([5, d])
+    rows = ((rng.standard_normal((40, d)) + 1j * rng.standard_normal((40, d)))
+            * 10.0 ** rng.uniform(-300, 300, (40, 1)))
+    rows[rng.random((40, d)) < 0.15] = 0.0
+    rows[:, 0] += rows[:, 0] == 0  # no all-zero row
+    return rows
+
+
 class TestMakeState:
     def test_two_term_normalization(self):
         state = make_state([(-1, 1), (0, 1)])
@@ -38,9 +49,19 @@ class TestMakeState:
         with pytest.raises(InvalidData, match="^all amplitudes are zero$"):
             make_state([(0, 0), (1, 0)])
 
-    def test_duplicate_label_rejected(self):
+    @pytest.mark.parametrize("pairs", [
+        pytest.param([(0, 1), (0, 1)], id="equal"),
+        # the first bad item in input order is the one reported
+        pytest.param([(0, 1), (0, math.nan)], id="before-a-non-finite"),
+    ])
+    def test_duplicate_label_rejected(self, pairs):
         with pytest.raises(InvalidData, match="label 0 given more than once"):
-            make_state([(0, 1), (0, 1)])
+            make_state(pairs)
+
+    def test_integer_amplitude_beyond_float_range_rejected(self):
+        with pytest.raises(InvalidData,
+                           match="^amplitude of label 0 is out of floating-point range$"):
+            make_state([(0, 10**400)])
 
     @pytest.mark.parametrize("scale", [5e-324, 1e-300, 1e-200, 1e-158, 1e154, 1e300])
     def test_extreme_magnitudes_normalise_without_overflow_or_underflow(self, scale):
@@ -62,19 +83,28 @@ class TestMakeState:
                             for a in row])
             return vec / math.sqrt(vec.real.dot(vec.real) + vec.imag.dot(vec.imag))
 
-        rng = np.random.default_rng([5, d])
-        rows = ((rng.standard_normal((40, d)) + 1j * rng.standard_normal((40, d)))
-                * 10.0 ** rng.uniform(-300, 300, (40, 1)))
-        rows[rng.random((40, d)) < 0.15] = 0.0
-        rows[:, 0] += rows[:, 0] == 0  # no all-zero row
-        for row in rows:
+        for row in seeded_rows(d):
             ref = one_by_one(row).tobytes()
             assert np.array(make_state(zip(range(d), row)).amplitudes).tobytes() == ref
 
-    @pytest.mark.parametrize("amp", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
-    def test_non_finite_amplitude_rejected(self, amp):
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_vector_is_the_read_only_amplitudes(self, d):
+        for row in seeded_rows(d):
+            state = make_state(zip(range(d), row))
+            assert state.vector.tobytes() == np.asarray(state.amplitudes).tobytes()
+            with pytest.raises(ValueError):
+                state.vector[0] = 1.0
+
+    @pytest.mark.parametrize("pairs", [
+        *(pytest.param([(1, 1), (0, amp)], id=str(amp))
+          for amp in (math.nan, math.inf, -math.inf, complex(1, math.nan))),
+        # the first bad item in input order is the one reported
+        pytest.param([(0, math.nan), (0, 1)], id="before-a-repeat"),
+        pytest.param([(1, 1), (0, math.inf), (1, 2)], id="before-a-later-repeat"),
+    ])
+    def test_non_finite_amplitude_rejected(self, pairs):
         with pytest.raises(InvalidData, match="amplitude of label 0 is not finite"):
-            make_state([(1, 1), (0, amp)])
+            make_state(pairs)
 
 
 class TestInner:
@@ -181,10 +211,15 @@ class TestObservable:
                                match="^matrix has an entry out of floating-point range$"):
                 obs()
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
-    def test_non_finite_entry_rejected(self, bad):
-        with pytest.raises(InvalidData, match=r"matrix entry \(3, 1\) is not finite"):
-            Observable((1, 3), [[1, 0], [bad, 1]])
+    @pytest.mark.parametrize("labels, matrix, entry", [
+        *(pytest.param((1, 3), [[1, 0], [bad, 1]], r"\(3, 1\)", id=str(bad))
+          for bad in (math.nan, math.inf, complex(0, -math.inf))),
+        # reported before the matrix is found not to be Hermitian
+        pytest.param((0, 1), [[math.nan, 1], [0, 1]], r"\(0, 0\)", id="before-hermiticity"),
+    ])
+    def test_non_finite_entry_rejected(self, labels, matrix, entry):
+        with pytest.raises(InvalidData, match=f"matrix entry {entry} is not finite"):
+            Observable(labels, matrix)
 
     def test_diagonal_constructor_has_exact_zero_offdiagonals(self):
         a = Observable.diagonal((-1, 0, 1))
