@@ -9,9 +9,17 @@ pretty table.
 
 from __future__ import annotations
 
+import gc
+
+# Every object the imports below build lives until the process exits, so the
+# collector's passes over them are wasted: a run as `python -m wvsim.cli`
+# imports with it off, and `run` freezes what the imports left before it
+# turns it back on.
+if __name__ == "__main__":
+    gc.disable()
+
 import argparse
 import cmath
-import json
 import math
 import operator
 import sys
@@ -124,6 +132,8 @@ def parse_grid_spec(text: str) -> tuple[tuple[float, ...], str]:
 
 def load_config(path: str, command: str) -> dict:
     """The flat JSON object in `path`; every key must be one `command` reads."""
+    import json  # only a run with --config reads one
+
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
@@ -324,5 +334,16 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The entry of a `wvsim` process, `python -m wvsim.cli` and the installed
+    script alike. `gc.freeze()` moves the imports' objects to the permanent
+    generation, which neither the command's collections nor the one at
+    shutdown pass over; `main` freezes nothing, so that a caller in a
+    longer-lived process keeps its own objects collectable."""
+    gc.freeze()
+    gc.enable()
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -87,7 +87,8 @@ def angle_and_norm(kicks, weights, delta):
     else:
         series = np.max(yy, axis=0) <= _SERIES_T_MAX
         angle, norm = np.empty((2, x.shape[1]))
-        angle[series], norm[series] = _series(y[:, series], yy[:, series], w)
+        if series.any():  # a sweep wholly past the range has no series rows
+            angle[series], norm[series] = _series(y[:, series], yy[:, series], w)
         angle[~series], norm[~series] = _gram(x.T[~series], w)
     return angle.reshape(rows)[()], norm.reshape(rows)[()]
 

@@ -215,6 +215,18 @@ class TestWeakRegimeSeries:
             for k, angle, norm in zip(kicks.T, angles, norms):
                 assert (angle, norm) == angle_and_norm(k, weights, delta)
 
+    def test_rows_past_the_switch_skip_the_series(self, monkeypatch):
+        calls = []
+        series = pointer._series
+        monkeypatch.setattr(pointer, "_series", lambda *a: calls.append(a) or series(*a))
+        rng = np.random.default_rng(10)
+        kicks = rng.uniform(0.5, 2.0, (3, 36)) * rng.choice([-1.0, 1.0], (3, 1))
+        weights = rng.normal(size=3) + 1j * rng.normal(size=3)
+        angles, norms = angle_and_norm(kicks, weights, 1.0)
+        for k, angle, norm in zip(kicks.T, angles, norms):
+            assert (angle, norm) == angle_and_norm(k, weights, 1.0)
+        assert calls == []
+
     def test_series_and_quadratic_form_agree_at_the_switch(self):
         # complex weights, whose sine leads with a first moment that does not
         # cancel, so that the quadratic form is accurate at the switch too
