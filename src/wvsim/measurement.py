@@ -76,7 +76,10 @@ def weak_value(pre: SystemState, post: SystemState, a: Observable) -> complex:
     if abs(denom) <= DEFAULT_OVERLAP_FLOOR:
         raise OrthogonalSelection(f"|<post|pre>| = {abs(denom):.3e} at or below "
                                   f"floor {DEFAULT_OVERLAP_FLOOR:.3e}")
-    value = complex(np.vdot(post.vector, a.matrix @ pre.vector)) / denom
+    try:  # an overflow raises here under a caller's np.errstate, as in a shift sweep
+        value = complex(np.vdot(post.vector, a.matrix @ pre.vector)) / denom
+    except FloatingPointError:
+        value = cmath.nan
     if not cmath.isfinite(value):
         raise InvalidData("weak value <post|A|pre>/<post|pre> is out of floating-point range")
     return value
@@ -102,13 +105,13 @@ def weakness(kicks, weights, delta):
     The real and imaginary parts of the change are one reduce over the term
     axis of a (terms, 2, ...) stack, which adds the terms in order.
     """
+    x, w, _ = pointer._nonzero_terms(kicks, weights, delta)
     # np.abs: Python's abs of a numpy complex scalar rounds differently
-    base = np.abs(np.add.reduce(weights))
+    base = np.abs(np.add.reduce(w))
     if base <= DEFAULT_OVERLAP_FLOOR:
         raise OrthogonalSelection("pre- and post-selection are orthogonal")
-    x, w = pointer._nonzero_terms(kicks, weights, delta)
-    parts = (np.concatenate((w.real[:, None], w.imag[:, None]), axis=1)
-             * np.expm1(x * x / -8.0)[:, None])
+    w = w.reshape((-1, 1) + (1,) * (x.ndim - 1))
+    parts = np.concatenate((w.real, w.imag), axis=1) * np.expm1(x * x / -8.0)[:, None]
     return np.hypot(*np.add.reduce(parts, axis=0)) / base
 
 
@@ -131,31 +134,30 @@ def _check_smallest_kick(g: float, epsilon: float, delta: float) -> None:
 _sweep = None
 
 
-def _shift(vals, w, aw: float, g: float, delta: float, eps: np.ndarray):
-    """Shift angles and squared norms of the conditioned pointer over the
-    increasing array `eps`, from one kernel call; every sweep and a miss of
-    `effective_shift_check` come here, so all check the floor."""
+def _shift(pre, post, a, g, delta, eps):
+    """(Re(A_w), eigenvalues, weights) of the selection of pre, post and A, then
+    the shift angles and squared norms of its conditioned pointer over the
+    increasing array `eps` from one kernel call; every sweep and a miss of
+    `effective_shift_check` build their selection here, so all check the floor."""
+    aw = weak_value(pre, post, a).real
+    vals, w = branch_weights(pre, post, a)
     _check_smallest_kick(g, float(eps[0]), delta)
-    return pointer.angle_and_norm((vals - aw)[:, None] * (g * eps), w, delta)
+    return aw, vals, w, *pointer.angle_and_norm((vals - aw)[:, None] * (g * eps), w, delta)
 
 
-def shift_sweep(pre: SystemState, post: SystemState, a: Observable, selection,
+def shift_sweep(pre: SystemState, post: SystemState, a: Observable,
                 g: float, delta: float, eps: np.ndarray, grid: list[float]):
-    """The read-only `d_weak_vs_eigen` column and the uncapped post-selection
-    probability over the strictly increasing float array `eps` (`grid` is
-    its `tolist()`), for `selection = (eigenvalues, weights, Re(A_w))` of pre,
-    post and A. The sweep is kept, so that `effective_shift_check` on the same
-    pre, post and A objects, g and delta finds an eps of the grid there.
-
-    The caller evaluates it with numpy's overflow, divide and invalid errors
-    raising, as `run_comparison` does: a FloatingPointError then means
-    g*eps/delta is out of range at the largest eps."""
+    """`_shift` over the strictly increasing float array `eps` (`grid` is its
+    `tolist()`), the angles (`d_weak_vs_eigen`) read-only; the sweep is kept, so
+    that `effective_shift_check` on the same pre, post and A objects, g and
+    delta finds an eps of the grid there. The caller evaluates it with numpy's
+    overflow, divide and invalid errors raising, as `run_comparison` does: a
+    FloatingPointError then means g*eps/delta is out of range at the largest eps."""
     global _sweep
-    vals, w, aw = selection
-    angles, norms = _shift(vals, w, aw, g, delta, eps)
-    angles.flags.writeable = False
-    _sweep = (pre, post, a, g, delta, aw, grid, angles.tolist())
-    return angles, norms
+    sweep = _shift(pre, post, a, g, delta, eps)
+    sweep[3].flags.writeable = False
+    _sweep = (pre, post, a, g, delta, sweep[0], grid, sweep[3].tolist())
+    return sweep
 
 
 def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
@@ -171,21 +173,18 @@ def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
     """
     g, eps, delta = cfg.g, cfg.epsilon, cfg.delta
     sweep = _sweep
-    hit = (sweep is not None and sweep[0] is pre and sweep[1] is post and sweep[2] is a
-           and sweep[3] == g and sweep[4] == delta)
-    aw = sweep[5] if hit else weak_value(pre, post, a).real
+    if (sweep is not None and sweep[0] is pre and sweep[1] is post and sweep[2] is a
+            and sweep[3] == g and sweep[4] == delta
+            and (i := bisect_left(sweep[6], eps)) < len(sweep[6]) and sweep[6][i] == eps):
+        aw, distance = sweep[5], sweep[7][i]
+    else:
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                aw, _, _, angles, _ = _shift(pre, post, a, g, delta, np.array([eps]))
+        except FloatingPointError:
+            raise _out_of_range(g, eps, delta) from None
+        distance = float(angles[0])
     ideal = g * eps * aw
     if not math.isfinite(ideal):
         raise _out_of_range(g, eps, delta)
-    if hit:
-        grid = sweep[6]
-        i = bisect_left(grid, eps)
-        if i < len(grid) and grid[i] == eps:
-            return ShiftCheck(ideal, sweep[7][i])
-    vals, w = branch_weights(pre, post, a)
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            distance = _shift(vals, w, aw, g, delta, np.array([eps]))[0][0]
-    except FloatingPointError:
-        raise _out_of_range(g, eps, delta) from None
-    return ShiftCheck(ideal, float(distance))
+    return ShiftCheck(ideal, distance)

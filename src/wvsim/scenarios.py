@@ -24,8 +24,7 @@ import numpy as np
 
 from . import pointer
 from .errors import InvalidData
-from .measurement import (CouplingConfig, _out_of_range, branch_weights, shift_sweep,
-                          weak_value, weakness)
+from .measurement import CouplingConfig, _out_of_range, branch_weights, shift_sweep, weakness
 from .qstate import Observable, SystemState, make_state
 
 DEFAULT_EPSILON_GRID = tuple(float(e) for e in np.geomspace(1e-3, 1e-2, 8))
@@ -204,13 +203,6 @@ def run_comparison(specs: Iterable[ScenarioSpec],
             or (epsilon_grid is None and expect.epsilon_grid is not weak.epsilon_grid
                 and list(map(float, expect.epsilon_grid)) != grid)):
         raise InvalidData("scenarios must share g, delta and the epsilon grid")
-    a_ref = weak_value(weak.pre, weak.post, weak.observable).real
-    vals_x, born = branch_weights(expect.pre, None, expect.observable)
-    a_exp = vals_x @ born
-    if abs(a_exp - a_ref) > 1e-9:
-        raise InvalidData(
-            f"scenarios target different values: weak {a_ref} vs expectation {a_exp}")
-    vals, w = branch_weights(weak.pre, weak.post, weak.observable)
     g, delta = weak.cfg.g, weak.cfg.delta
     # the five columns after epsilon as one array, so that one tolist() gives
     # them all; overflow and invalid operations raise, as either means
@@ -218,9 +210,14 @@ def run_comparison(specs: Iterable[ScenarioSpec],
     columns = np.empty((5, len(grid)))
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            # first, as it rejects a smallest kick below the floor
-            columns[1], norms = shift_sweep(weak.pre, weak.post, weak.observable,
-                                            (vals, w, a_ref), g, delta, eps, grid)
+            # first, so its selection and smallest kick are checked before the partner
+            a_ref, vals, w, columns[1], norms = shift_sweep(
+                weak.pre, weak.post, weak.observable, g, delta, eps, grid)
+            vals_x, born = branch_weights(expect.pre, None, expect.observable)
+            a_exp = vals_x @ born
+            if abs(a_exp - a_ref) > 1e-9:
+                raise InvalidData(
+                    f"scenarios target different values: weak {a_ref} vs expectation {a_exp}")
             kick = g * eps
             # the angle of the eigenvalue pointer, G_0 shifted by g*eps*a_ref
             x = kick * a_ref / delta

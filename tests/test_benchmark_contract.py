@@ -34,7 +34,7 @@ SEED_1_DIGITS = {
 STALE_PROBES = ["measurement.couple", "measurement.post_select",
                 "measurement.no_postselect_mixture", "measurement.weakness_metric",
                 "measurement.postselect_probability_drift", "pointer.bures_pure",
-                "pointer.bures_mixed", "pointer.normalize_terms"]
+                "pointer.bures_mixed", "pointer.normalize_terms", "pointer.mean_position"]
 
 
 @pytest.mark.parametrize("name", sorted(SEED_1_DIGITS))

@@ -20,7 +20,7 @@ from wvsim.measurement import (
     weak_value,
     weakness,
 )
-from wvsim.pointer import angle_and_norm, mean_position, mixture_angle
+from wvsim.pointer import angle_and_norm, mixture_angle
 from wvsim.qstate import Observable, SystemState, make_state
 from wvsim.scenarios import ScenarioSpec, run_comparison
 
@@ -77,6 +77,20 @@ class TestWeakValue:
         with pytest.raises(InvalidData, match=r"^weak value <post\|A\|pre>/<post\|pre> is out "
                                               r"of floating-point range$"):
             weak_value(pre, post, Observable.diagonal((0, label)))
+
+    def test_numerator_beyond_float_range_rejected_inside_a_sweep(self):
+        # A @ pre overflows under the np.errstate of a shift sweep, which makes it
+        # raise there: still the weak value's error, not the kicks' out-of-range one
+        labels = (0, 1, 2, 3)
+        a = Observable(labels, np.full((4, 4), 1e308))
+        pre = make_state([(k, 1.0) for k in labels])
+        post = make_state([(0, 1.0), (1, 0.3), (2, 0.0), (3, 0.0)])
+        message = r"^weak value <post\|A\|pre>/<post\|pre> is out of floating-point range$"
+        with pytest.raises(InvalidData, match=message):
+            _fresh_check(pre, post, a, cfg())
+        with pytest.raises(InvalidData, match=message):
+            run_comparison([ScenarioSpec("weak", pre, a, cfg(), post, (0.01,)),
+                            ScenarioSpec("expect", pre, a, cfg(), None, (0.01,))])
 
     def test_overlap_floor_is_fixed_at_1e_12(self):
         pre = make_state([(0, 1), (1, 1e-8)])
@@ -144,8 +158,7 @@ class TestCouple:
         assert list(kicks) == pytest.approx([-0.01, 0.01])
         np.testing.assert_allclose(born, [0.5, 0.5], atol=1e-12)
         kicks, weights = pointer(pre, pre, sigma_x, cfg())
-        # (G_+ + G_-)/norm: symmetric, and P(0) = (1 + exp(-(2 g eps)^2/8))/2
-        assert mean_position(kicks, weights, 1.0) == pytest.approx(0.0, abs=1e-12)
+        # (G_+ + G_-)/norm: P(0) = (1 + exp(-(2 g eps)^2/8))/2
         assert angle_and_norm(kicks, weights, 1.0)[1] == pytest.approx(
             (1 + math.exp(-0.02 ** 2 / 8)) / 2, abs=1e-14)
 
@@ -309,8 +322,7 @@ class TestEffectiveShiftCheck:
         # (nor is d_eigen's, so run_comparison would reject this sweep)
         state = make_state([(0, 1), (1, 1)])
         a = Observable.diagonal((0, 1), [99.0, 101.0])
-        selection = (*branch_weights(state, state, a), weak_value(state, state, a).real)
-        angles, _ = shift_sweep(state, state, a, selection, 1e307, 1e300, np.array([1.0]), [1.0])
+        angles = shift_sweep(state, state, a, 1e307, 1e300, np.array([1.0]), [1.0])[3]
         assert angles.tolist() == [math.pi / 2]
         with pytest.raises(InvalidData, match=r"g=1e\+307, epsilon=1.0, delta=1e\+300"):
             effective_shift_check(state, state, a, CouplingConfig(1e307, 1.0, 1e300))
@@ -497,8 +509,12 @@ class TestShiftSweep:
         grid = tuple(np.geomspace(1e-3, 1e-1, 9).tolist())
         c = cfg(grid[0], g=0.8, delta=1.7)
         column = [r.d_weak_vs_eigen for r in _comparison(pre, post, a, c, grid)]
-        selection = (*branch_weights(pre, post, a), weak_value(pre, post, a).real)
-        angles, _ = shift_sweep(pre, post, a, selection, c.g, c.delta, np.array(grid), list(grid))
+        aw, vals, w, angles, _ = shift_sweep(pre, post, a, c.g, c.delta, np.array(grid),
+                                             list(grid))
+        # the sweep builds the selection that weak_value and branch_weights give
+        assert aw == weak_value(pre, post, a).real
+        assert [x.tobytes() for x in (vals, w)] == [
+            x.tobytes() for x in branch_weights(pre, post, a)]
         assert angles.tolist() == column
         with pytest.raises(ValueError):
             angles[0] = 1.0

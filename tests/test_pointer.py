@@ -1,4 +1,4 @@
-"""The pointer kernel: closed-form norms, Bures angles, moments, grid oracle.
+"""The pointer kernel: closed-form norms, Bures angles, grid oracle.
 
 A pointer is sum_j w_j G_{u_j}, given as (kicks u, weights w) and a width.
 Every closed-form quantity asserted here is cross-checked against trapezoidal
@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from gridoracle import grid_cos_angle, grid_inner, grid_overlap, to_grid
 from wvsim import pointer
 from wvsim.errors import InvalidData
-from wvsim.measurement import CouplingConfig
-from wvsim.pointer import angle_and_norm, mean_position, mixture_angle
+from wvsim.measurement import DEFAULT_OVERLAP_FLOOR, CouplingConfig, weakness
+from wvsim.pointer import angle_and_norm, mixture_angle
 
 EXP_MINUS_HALF = 0.6065306597126334       # exp(-0.5) = exp(-(2-0)^2/8)
 EXP_SMALL_SHIFT = 0.9999875000781246      # exp(-0.01^2/8)
@@ -30,11 +30,6 @@ def unit(kicks, weights, delta=1.0):
     """The same pointer with weights rescaled to unit norm."""
     w = np.asarray(weights, dtype=complex)
     return kicks, w / math.sqrt(angle_and_norm(kicks, w, delta)[1])
-
-
-def quantities(kicks, weights, delta):
-    """(angle, squared norm, mean position) of a pure pointer."""
-    return (*angle_and_norm(kicks, weights, delta), mean_position(kicks, weights, delta))
 
 
 def shifted(pointer, center):
@@ -50,7 +45,6 @@ class TestGaussian:
     def test_shifted_state_is_the_same_gaussian_moved(self):
         assert angle_and_norm([0.01], [1.0], 1.0)[1] == pytest.approx(1.0, abs=1e-14)
         assert angle_and_norm(*shifted(([0.01], [1.0]), 0.01), 1.0)[0] == 0.0
-        assert mean_position([0.01], [1.0], 1.0) == pytest.approx(0.01, abs=1e-15)
 
     def test_two_sigma_overlap(self):
         assert math.cos(angle_and_norm([2.0], [1.0], 1.0)[0]) == pytest.approx(
@@ -80,22 +74,19 @@ class TestOverlap:
 class TestSuperpose:
     def test_conditioned_pointer_norm_and_mean(self):
         assert angle_and_norm(*unit(*PHI_W), 1.0)[1] == pytest.approx(1.0, abs=1e-12)
-        # effectively a Gaussian moved to the weak value: mean ~ g*eps*1
-        assert mean_position(*PHI_W, 1.0) == pytest.approx(0.01, rel=1e-3)
 
     def test_zero_coefficient_is_identity(self):
         padded = ([0.0, -0.01, 3.0], [2.0, -1.0, 0.0])
-        for got, want in zip(quantities(*padded, 1.0), quantities(*PHI_W, 1.0)):
+        for got, want in zip(angle_and_norm(*padded, 1.0), angle_and_norm(*PHI_W, 1.0)):
             assert abs(got - want) < 1e-14
 
     def test_exact_cancellation_has_zero_norm(self):
         assert angle_and_norm([0.5, 0.5], [1.0, -1.0], 1.0)[1] == 0.0
 
     def test_normalization_idempotent(self):
-        unit_angle, _, unit_mean = quantities(*unit(*PHI_W), 1.0)
-        angle, _, mean = quantities(*PHI_W, 1.0)
+        unit_angle = angle_and_norm(*unit(*PHI_W), 1.0)[0]
+        angle = angle_and_norm(*PHI_W, 1.0)[0]
         assert abs(unit_angle - angle) < 1e-14
-        assert abs(unit_mean - mean) < 1e-14
 
 
 class TestBuresPure:
@@ -144,26 +135,15 @@ class TestBuresMixed:
             math.pi / 2, abs=1e-6)
 
 
-class TestMeanPosition:
-    def test_centered_gaussian(self):
-        assert mean_position([1.7], [1.0], 0.3) == pytest.approx(1.7, abs=1e-12)
-
-    def test_symmetric_superposition(self):
-        assert mean_position([-2.0, 2.0], [1.0, 1.0], 1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_resuperposed_single_gaussian_exact(self):
-        assert mean_position([0.37], [0.3 - 0.7j], 1.0) == pytest.approx(0.37, abs=1e-12)
-
-
 class TestBroadcasting:
     def test_rows_match_single_evaluations(self):
         rng = np.random.default_rng(4)
         kicks = rng.uniform(-2, 2, size=(3, 5))
         weights = rng.normal(size=3) + 1j * rng.normal(size=3)
-        for q, rows in enumerate(quantities(kicks, weights, 0.7)):
+        for q, rows in enumerate(angle_and_norm(kicks, weights, 0.7)):
             assert rows.shape == (5,)
             for k, row in zip(kicks.T, rows):
-                assert row == quantities(k, weights, 0.7)[q]
+                assert row == angle_and_norm(k, weights, 0.7)[q]
         probs = rng.uniform(size=3)
         rows = mixture_angle(kicks, probs, 0.7)
         assert rows.shape == (5,)
@@ -262,13 +242,6 @@ class TestGridOracle:
             quad_norm = grid_overlap(pointer, pointer, 1.0).real
             assert abs(closed_norm - quad_norm) <= 1e-6 * closed_norm
 
-    def test_quadrature_mean_position_agrees(self):
-        f = to_grid(*PHI_W, 1.0)
-        qs = f.qs
-        density = np.abs(f.values) ** 2
-        quad_mean = np.trapezoid(qs * density, qs) / np.trapezoid(density, qs)
-        assert mean_position(*PHI_W, 1.0) == pytest.approx(quad_mean, abs=1e-9)
-
     def test_range_guard(self):
         with pytest.raises(InvalidData, match="does not cover shifts padded to"):
             to_grid([-5.0, 5.0], [1.0, 1.0], 1.0, -6.0, 6.0, 4096)
@@ -281,10 +254,6 @@ class TestGridOracle:
         s = ([0.0, 0.4], [1.0, 1j])
         assert abs(angle_and_norm(*s, 1.0)[1] - grid_overlap(s, s, 1.0)) < 1e-6
         assert abs(math.cos(angle_and_norm(*s, 1.0)[0]) - grid_cos_angle(*s, 1.0)) < 1e-6
-        f = to_grid(*s, 1.0)
-        density = np.abs(f.values) ** 2
-        quad_mean = np.trapezoid(f.qs * density, f.qs) / np.trapezoid(density, f.qs)
-        assert abs(mean_position(*s, 1.0) - quad_mean) < 1e-6
 
 
 kick_lists = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=6)
@@ -313,10 +282,10 @@ def bits(values):
 
 
 @st.composite
-def series_pointers(draw, complex_weights=True):
-    """(kicks of shape (d, rows), weights of shape (d,)) with d >= 2 nonzero
-    weights and every kick inside the series range."""
-    d, rows = draw(st.integers(2, 8)), draw(st.integers(1, 4))
+def series_pointers(draw, complex_weights=True, min_terms=2):
+    """(kicks of shape (d, rows), weights of shape (d,)) with d >= min_terms
+    nonzero weights and every kick inside the series range."""
+    d, rows = draw(st.integers(min_terms, 8)), draw(st.integers(1, 4))
     kicks = np.array(draw(st.lists(st.lists(series_kicks, min_size=rows, max_size=rows),
                                    min_size=d, max_size=d)))
     part = (st.builds(complex, nonzero_components, components) if complex_weights
@@ -338,9 +307,9 @@ def with_zero_terms(draw, pointer, kick_values):
 
 
 class TestZeroAndRealWeights:
-    """The kernel leaves out terms of weight 0 and takes real weights through a
-    real pass; both only drop exact zeros from its sums, so neither may change
-    a bit of any result."""
+    """The kernel leaves out terms of weight 0, whatever their kicks, and takes
+    real weights through a real pass; both only drop exact zeros from its
+    sums, so neither may change a bit of any result."""
 
     @given(series_pointers(complex_weights=False))
     def test_real_weights_as_complex_give_the_same_bits(self, pointer):
@@ -352,9 +321,13 @@ class TestZeroAndRealWeights:
 
     @given(st.data(), st.booleans())
     def test_zero_weight_terms_change_no_bit_of_a_pure_pointer(self, data, complex_weights):
-        kicks, weights = data.draw(series_pointers(complex_weights))
-        padded = data.draw(with_zero_terms((kicks, weights), series_kicks))
+        # one kept term, padded, keeps the one-kick form, and a padding kick
+        # past the series range moves no row out of the series
+        kicks, weights = data.draw(series_pointers(complex_weights, min_terms=1))
+        padded = data.draw(with_zero_terms((kicks, weights), st.floats(-5.0, 5.0)))
         assert bits(angle_and_norm(*padded, 1.0)) == bits(angle_and_norm(kicks, weights, 1.0))
+        assume(np.abs(np.add.reduce(weights)) > DEFAULT_OVERLAP_FLOOR)
+        assert bits([weakness(*padded, 1.0)]) == bits([weakness(kicks, weights, 1.0)])
 
     @given(st.data())
     def test_zero_weight_terms_change_no_bit_of_a_mixture(self, data):
@@ -376,10 +349,9 @@ class TestKernelProperties:
         kicks, weights = pointer
         # a nearly cancelled pointer is ill-conditioned
         assume(angle_and_norm(kicks, weights, 1.0)[1] >= 1e-6 * np.sum(np.abs(weights) ** 2))
-        scaled, _, scaled_mean = quantities(kicks, scale * weights, 1.0)
-        angle, _, mean = quantities(kicks, weights, 1.0)
+        scaled = angle_and_norm(kicks, scale * weights, 1.0)[0]
+        angle = angle_and_norm(kicks, weights, 1.0)[0]
         assert scaled == pytest.approx(angle, rel=1e-9, abs=1e-9)
-        assert scaled_mean == pytest.approx(mean, rel=1e-9, abs=1e-9)
 
     @settings(deadline=None)
     @given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1), st.floats(0.01, 3.0))

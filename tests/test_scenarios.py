@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mporacle
-from wvsim import cli, pointer, qstate, scenarios
+from wvsim import cli, measurement, pointer, qstate, scenarios
 from wvsim.errors import InvalidData
 from wvsim.measurement import (DEFAULT_OVERLAP_FLOOR, CouplingConfig, branch_weights,
                                weak_value, weakness)
@@ -26,6 +26,9 @@ from wvsim.scenarios import (
 CFG = CouplingConfig(g=1.0, epsilon=0.01, delta=1.0)
 # the relative accuracy of the general pointer kernel on well-conditioned sums
 KERNEL_ULP_TOL = 2e-15
+# four ulp: the closed-form shift holds about one, plus one for each rounding of
+# g*eps/delta when g or delta is not a power of two
+SHIFT_ULP_TOL = 4 * 2.0 ** -52
 
 
 class TestSpinAmplificationScenario:
@@ -169,6 +172,33 @@ class TestRunComparison:
                                match="^scenarios must share g, delta and the epsilon grid$"):
                 run_comparison([weak_value_one_scenario(CFG, weak_grid),
                                 expectation_scenario(CFG, expect_grid)])
+
+    @pytest.mark.parametrize("g, grid", [(1.0, [1e-80, 1e-3]), (1e300, [1e-3, 1e10])])
+    def test_weak_sweep_errors_come_before_the_partner_checks(self, g, grid):
+        # the weak scenario's selection and kicks are swept first: a smallest kick
+        # below the floor, or a largest one out of range, is named before an
+        # expectation scenario that targets another value or is in another basis
+        def partners(cfg, grid):
+            other_target = qstate.Observable.diagonal((0, 1, 2), [0.0, 1.0, 3.0])
+            return (scenarios.ScenarioSpec("target", scenarios.EXPECT_ONE_PRE, other_target,
+                                           cfg, None, grid),
+                    scenarios.ScenarioSpec("basis", qstate.make_state([(5, 1.0)]),
+                                           scenarios.EXPECT_ONE_OBSERVABLE, cfg, None, grid))
+
+        cfg = CouplingConfig(g, grid[0], 1.0)
+        for expect in partners(cfg, grid):
+            with pytest.raises(InvalidData, match=r"^g\*epsilon/delta is out of floating-point "):
+                run_comparison([weak_value_one_scenario(cfg, grid), expect])
+        # in range, each partner fails its own check, after the sweep was kept
+        messages = (r"^scenarios target different values: weak 1.0 vs expectation 1.49+6$",
+                    r"^bases differ: \(5,\) vs \(0, 1, 2\)$")
+        for expect, message in zip(partners(CFG, [1e-3]), messages):
+            measurement._sweep = None
+            weak = weak_value_one_scenario(CFG, [1e-3])
+            with pytest.raises(InvalidData, match=message):
+                run_comparison([weak, expect])
+            kept = measurement._sweep
+            assert kept[0] is weak.pre and kept[1] is weak.post and kept[2] is weak.observable
 
     def test_explicit_grid_replaces_both_scenario_grids(self):
         # the second argument the benchmark's --smoke self-check passes
@@ -419,21 +449,23 @@ class TestAmplificationSweep:
         # each row depends on its own alpha alone, bit for bit
         alone = [row for alpha in alphas for row in amplification_sweep([alpha], cfg)]
         assert np.array(rows, dtype=float).tobytes() == np.array(alone, dtype=float).tobytes()
+        # the shift holds a few ulp of the 60-digit oracle at the row's float tan;
         # the general kernel, one scenario and one branch_weights call per row,
         # agrees within its own accuracy: it sums <post|pre> ~ 1/tan(alpha/2)
-        # and its first moment ~ tan(alpha/2) from O(1) rounded products
+        # from O(1) rounded products
         kick = np.float64(cfg.g) * eps
         for t, alpha, row in zip(tans, alphas, rows):
+            assert row.tan_half_alpha == math.tan(alpha / 2)
+            exact = mporacle.amplification_row(row.tan_half_alpha, 1.5, 2.0, eps)
+            assert mporacle.rel_error(row.mean_shift_over_g_eps,
+                                      exact["mean_shift"]) <= SHIFT_ULP_TOL, t
             spec = spin_amplification_scenario(alpha, cfg)
             vals, w = branch_weights(spec.pre, spec.post, spec.observable)
             metric = weakness(kick * vals, w, cfg.delta)
             prob = min(pointer.angle_and_norm(kick * vals, w, cfg.delta)[1], 1.0)
-            shift = pointer.mean_position(kick * vals, w, cfg.delta) / kick
             p0 = abs(np.sum(w)) ** 2
             weak = metric <= WEAKNESS_THRESHOLD and abs(prob - p0) / p0 <= WEAKNESS_THRESHOLD
             tol = 2e-16 * max(t, 1 / t) + KERNEL_ULP_TOL
-            assert row.tan_half_alpha == math.tan(alpha / 2)
-            assert row.mean_shift_over_g_eps == pytest.approx(shift, rel=tol, abs=0), t
             assert row.postselect_probability == pytest.approx(prob, rel=tol, abs=0), t
             assert row.weakness == pytest.approx(metric, rel=tol, abs=0), t
             assert row.weak == weak, t

@@ -1,6 +1,7 @@
 """Every public function, class, method and property of wvsim has a caller in
 the program or in the benchmark, so that no entry survives only for the
-tests; and no wvsim module imports a name it never reads.
+tests; every private top-level name is read outside its definition; and no
+wvsim module imports a name it never reads.
 
 The sources of `src/wvsim` and `perfbench` are parsed, not imported. A name
 counts as used where it is imported from its wvsim module, read as an
@@ -15,11 +16,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wvsim"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-
-# `mean_position` is the float reference for the closed-form amplification
-# table (tests/test_scenarios.py) and a layer the benchmark's tracer probes by
-# name (perfbench/probes.py); the program itself no longer calls it.
-ALLOWED_UNUSED = {("pointer", "mean_position")}
 
 
 def wvsim_module(node, path):
@@ -44,8 +40,9 @@ def public_definitions():
     return found
 
 
-def uses():
-    """(module, name) pairs read anywhere in the program or the benchmark."""
+def uses(own_names=True):
+    """(module, name) pairs read anywhere in the program or the benchmark;
+    without `own_names`, a bare name inside its own module does not count."""
     used = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -64,19 +61,41 @@ def uses():
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in aliases):
                 used.add((aliases[node.value.id], node.attr))
-            elif isinstance(node, ast.Name) and own is not None:
+            elif isinstance(node, ast.Name) and own is not None and own_names:
                 used.add((own, node.id))
     return used
 
 
 def test_every_public_entry_has_a_caller_outside_the_tests():
-    unused = public_definitions() - uses()
-    assert unused == ALLOWED_UNUSED, sorted(unused - ALLOWED_UNUSED)
+    assert sorted(public_definitions() - uses()) == []
 
 
-def test_the_allowed_exception_is_still_defined_and_unused():
-    # the exception goes when mean_position gains a caller or is deleted
-    assert ALLOWED_UNUSED <= public_definitions() - uses()
+def top_level_names(node):
+    """The names a top-level statement defines or assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_private_name_is_read_outside_its_definition():
+    # a read in its own module outside the statement that defines it, or an
+    # import or attribute read from another module of the program or benchmark
+    elsewhere = uses(own_names=False)
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for statement in tree.body:
+            inside = set(map(id, ast.walk(statement)))
+            for name in top_level_names(statement):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                read = any(isinstance(node, ast.Name) and node.id == name
+                           and isinstance(node.ctx, ast.Load) and id(node) not in inside
+                           for node in ast.walk(tree))
+                if not read and (path.stem, name) not in elsewhere:
+                    dead.append((path.name, name))
+    assert sorted(dead) == []
 
 
 def public_members():
