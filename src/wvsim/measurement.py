@@ -129,35 +129,29 @@ def _check_smallest_kick(g: float, epsilon: float, delta: float) -> None:
         raise _out_of_range(g, epsilon, delta)
 
 
-# (pre, post, A, g, delta, Re(A_w), grid, angle list) of the last sweep, which
-# `effective_shift_check` reads; only the very pre, post and A objects swept hit
+# (pre, post, A, g, delta, Re(A_w), grid, angle list) of the last `shift_sweep`,
+# the one place `effective_shift_check` reads a distance; only the objects swept hit
 _sweep = None
-
-
-def _shift(pre, post, a, g, delta, eps):
-    """(Re(A_w), eigenvalues, weights) of the selection of pre, post and A, then
-    the shift angles and squared norms of its conditioned pointer over the
-    increasing array `eps` from one kernel call; every sweep and a miss of
-    `effective_shift_check` build their selection here, so all check the floor."""
-    aw = weak_value(pre, post, a).real
-    vals, w = branch_weights(pre, post, a)
-    _check_smallest_kick(g, float(eps[0]), delta)
-    return aw, vals, w, *pointer.angle_and_norm((vals - aw)[:, None] * (g * eps), w, delta)
 
 
 def shift_sweep(pre: SystemState, post: SystemState, a: Observable,
                 g: float, delta: float, eps: np.ndarray, grid: list[float]):
-    """`_shift` over the strictly increasing float array `eps` (`grid` is its
-    `tolist()`), the angles (`d_weak_vs_eigen`) read-only; the sweep is kept, so
-    that `effective_shift_check` on the same pre, post and A objects, g and
-    delta finds an eps of the grid there. The caller evaluates it with numpy's
-    overflow, divide and invalid errors raising, as `run_comparison` does: a
-    FloatingPointError then means g*eps/delta is out of range at the largest eps."""
+    """(Re(A_w), eigenvalues, weights) of the selection of pre, post and A, then
+    the read-only shift angles (`d_weak_vs_eigen`) and squared norms of its
+    conditioned pointer over the strictly increasing float array `eps` (`grid`
+    is its `tolist()`) from one kernel call. The only code that computes a
+    shift distance: the sweep replaces the one kept for `effective_shift_check`,
+    unless it raises. The caller evaluates it with numpy's overflow, divide and
+    invalid errors raising, as `run_comparison` does: a FloatingPointError then
+    means g*eps/delta is out of range at the largest eps."""
     global _sweep
-    sweep = _shift(pre, post, a, g, delta, eps)
-    sweep[3].flags.writeable = False
-    _sweep = (pre, post, a, g, delta, sweep[0], grid, sweep[3].tolist())
-    return sweep
+    aw = weak_value(pre, post, a).real
+    vals, w = branch_weights(pre, post, a)
+    _check_smallest_kick(g, grid[0], delta)
+    angles, norms = pointer.angle_and_norm((vals - aw)[:, None] * (g * eps), w, delta)
+    angles.flags.writeable = False
+    _sweep = (pre, post, a, g, delta, aw, grid, angles.tolist())
+    return aw, vals, w, angles, norms
 
 
 def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
@@ -167,24 +161,22 @@ def effective_shift_check(pre: SystemState, post: SystemState, a: Observable,
     In the weak regime the distance between them is O(eps^2) while the pointer
     has moved O(eps) away from where it started, so the observable acts on the
     probe like the single number Re(A_w). The distance is the
-    `d_weak_vs_eigen` angle of `shift_sweep` at this eps, taken from its last
-    sweep when that covered these pre, post and A objects, g, delta and eps,
-    and computed as one row otherwise (bitwise the same either way).
+    `d_weak_vs_eigen` angle of the last `shift_sweep`: when that covered these
+    pre, post and A objects, g, delta and eps it is read as it stands, and
+    otherwise a one-point sweep over eps replaces it first.
     """
     g, eps, delta = cfg.g, cfg.epsilon, cfg.delta
     sweep = _sweep
-    if (sweep is not None and sweep[0] is pre and sweep[1] is post and sweep[2] is a
+    if not (sweep is not None and sweep[0] is pre and sweep[1] is post and sweep[2] is a
             and sweep[3] == g and sweep[4] == delta
             and (i := bisect_left(sweep[6], eps)) < len(sweep[6]) and sweep[6][i] == eps):
-        aw, distance = sweep[5], sweep[7][i]
-    else:
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                aw, _, _, angles, _ = _shift(pre, post, a, g, delta, np.array([eps]))
+                shift_sweep(pre, post, a, g, delta, np.array([eps]), [eps])
         except FloatingPointError:
             raise _out_of_range(g, eps, delta) from None
-        distance = float(angles[0])
-    ideal = g * eps * aw
+        sweep, i = _sweep, 0
+    ideal = g * eps * sweep[5]
     if not math.isfinite(ideal):
         raise _out_of_range(g, eps, delta)
-    return ShiftCheck(ideal, distance)
+    return ShiftCheck(ideal, sweep[7][i])

@@ -20,6 +20,16 @@ HERMITICITY_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
 
 
+def _label(label) -> int:
+    """`label` as an int, which it must equal: 1.0 is label 1, 0.5 is an error."""
+    try:
+        if int(label) == label:
+            return int(label)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidData(f"label {label!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class SystemState:
     """Unit-norm state vector over an ordered integer-labeled basis."""
@@ -48,7 +58,7 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        labels = tuple(map(int, self.labels))
+        labels = tuple(map(_label, self.labels))
         if len(set(labels)) != len(labels):
             raise InvalidData(f"observable labels {labels} are not distinct")
         if list(labels) != sorted(labels):
@@ -80,10 +90,7 @@ class Observable:
     def diagonal(cls, labels: Sequence[int], values: Sequence[complex] | None = None) -> "Observable":
         """diag(values) on the given labels; values default to the labels
         themselves, i.e. the integer observable sum_j j |j><j|."""
-        labels = tuple(int(lab) for lab in labels)
-        if values is None:
-            values = labels
-        return cls(labels, np.diag(values))
+        return cls(labels, np.diag(labels if values is None else values))
 
     @cached_property
     def eigenbasis(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -112,16 +119,16 @@ def make_state(pairs: Iterable[tuple[int, complex]]) -> SystemState:
     """
     pairs = list(pairs)
     try:  # one numpy pass: top, the largest real or imaginary part, is NaN or inf on a fault
-        labels, amps = zip(*pairs, strict=True) if pairs else ((), ())
-        labels, amps = tuple(map(int, labels)), np.array(amps, dtype=complex)
+        given, amps = zip(*pairs, strict=True) if pairs else ((), ())
+        labels, amps = tuple(map(int, given)), np.array(amps, dtype=complex)
         top = (np.abs(amps.view(float)).max(initial=0.0)
-               if amps.shape == (len(set(labels)),) else np.nan)
+               if labels == given and amps.shape == (len(set(labels)),) else np.nan)
     except (TypeError, ValueError, OverflowError):
         top = np.nan
     if not top < np.inf:  # the pairs one by one, to word the first fault
         items = {}
         for label, amp in pairs:
-            label = int(label)
+            label = _label(label)
             try:
                 amp = complex(amp)
             except OverflowError:  # an integer amplitude beyond the floats

@@ -93,7 +93,6 @@ class AmplificationRow(NamedTuple):
     tan_half_alpha: float
     mean_shift_over_g_eps: float
     postselect_probability: float
-    weakness: float
     weak: bool
 
 
@@ -114,7 +113,6 @@ class AmplificationTable:
     tan_half_alpha: np.ndarray
     mean_shift_over_g_eps: np.ndarray
     postselect_probability: np.ndarray
-    weakness: np.ndarray
     weak: np.ndarray
 
     def __init__(self, *columns: np.ndarray):
@@ -313,7 +311,6 @@ def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> Amplifi
     if not math.isfinite(h):
         raise _out_of_range(cfg.g, cfg.epsilon, cfg.delta)
     s, one_minus_s = math.exp(h), -math.expm1(h)
-    metric = -math.expm1(h / 4.0)
     t2 = t * t
     # 2t / D over a = max(t, 1): for t >= 1 it is 2 / ((1+S)/t + t(1-S)),
     # which does not round t^2; t/a is t or exactly 1
@@ -323,7 +320,7 @@ def amplification_sweep(alphas: Iterable[float], cfg: CouplingConfig) -> Amplifi
     # most (1+S)/2, so rounding cannot take it above 1
     return AmplificationTable(
         t, 2.0 * b / ((1.0 + s) / a + t * (b * one_minus_s)),
-        one_minus_s / 2.0 + s / (1.0 + t2), np.full(t.size, metric),
-        # the drift (1-S)|t^2-1|/2 within the threshold
+        one_minus_s / 2.0 + s / (1.0 + t2),
+        # the drift (1-S)|t^2-1|/2 and the weakness 1-exp(-x^2/8) within the threshold
         (one_minus_s * np.abs(t2 - 1.0) <= 2.0 * WEAKNESS_THRESHOLD)
-        & (metric <= WEAKNESS_THRESHOLD))
+        & (-math.expm1(h / 4.0) <= WEAKNESS_THRESHOLD))

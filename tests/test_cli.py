@@ -285,7 +285,7 @@ class TestCompareCommand:
         field = {"p_postselect": "postselect_probability", "weak_flag": "weak"}
         assert [field.get(c, c) for c in COMPARE_COLUMNS] == list(ComparisonRow._fields)
         amplify = [field.get(c, c) for c in AMPLIFY_COLUMNS]
-        assert [f for f in AmplificationRow._fields if f in amplify] == amplify
+        assert amplify == list(AmplificationRow._fields)
         assert COMPARE_HEADER.split(",") == list(COMPARE_COLUMNS)
         assert AMPLIFY_HEADER.split(",") == list(AMPLIFY_COLUMNS)
 

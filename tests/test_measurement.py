@@ -434,10 +434,24 @@ def _fresh_check(pre, post, a, c):
     return effective_shift_check(pre, post, a, c)
 
 
+def _bits(check):
+    return tuple(map(float.hex, check))
+
+
+def _assert_one_point_sweep(pre, post, a, c, check):
+    """The slot holds the one-point sweep that a check of pre, post and A at c
+    made, and its reads give that check."""
+    slot = measurement._sweep
+    assert slot[0] is pre and slot[1] is post and slot[2] is a
+    assert slot[3:5] == (c.g, c.delta) and slot[6] == [c.epsilon]
+    assert _bits((c.g * c.epsilon * slot[5], slot[7][0])) == _bits(check)
+
+
 class TestShiftSweep:
     """`effective_shift_check` reads the distance from the last sweep of
     `shift_sweep`, which `run_comparison` makes for its d_weak_vs_eigen
-    column, and computes it afresh otherwise; both give the same bits."""
+    column; a check off that sweep first replaces it with a one-point sweep
+    of its own eps. Either way the bits are those of a check on an empty slot."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 8),
@@ -460,15 +474,17 @@ class TestShiftSweep:
                   (pre, post, a, replace(c, g=g * scale)),
                   (pre, post, a, replace(c, delta=delta * scale)),
                   (*other, c)]
-        sweep = measurement._sweep
-        with counted_kernel_calls() as calls:
-            missed = [effective_shift_check(*m) for m in misses]
-        assert len(calls) == len(misses)
-        assert measurement._sweep is sweep
-        # a miss leaves the sweep in place, so a later check on the grid still hits
+        missed = []
+        for m in misses:
+            with counted_kernel_calls() as calls:
+                missed.append(effective_shift_check(*m))
+            assert len(calls) == 1
+            _assert_one_point_sweep(*m, missed[-1])
+        # the last sweep wins, so a later check on the grid computes its row
+        # again, through a one-point sweep, and gets the same bits
         with counted_kernel_calls() as calls:
             assert effective_shift_check(pre, post, a, replace(c, epsilon=grid[-1])) == hits[-1]
-        assert not calls
+        assert len(calls) == 1
         assert [_fresh_check(*m) for m in misses] == missed
         assert [_fresh_check(pre, post, a, replace(c, epsilon=e)) for e in grid] == hits
 
@@ -493,16 +509,19 @@ class TestShiftSweep:
         rebuilt = (SystemState(pre.labels, pre.amplitudes),
                    SystemState(post.labels, post.amplitudes), Observable(a.labels, a.matrix))
         assert rebuilt[:2] == (pre, post)
-        sweep = measurement._sweep
         for k in range(3):
             chosen = [pre, post, a]
             chosen[k] = rebuilt[k]
             with counted_kernel_calls() as calls:
-                missed = [effective_shift_check(*chosen, replace(c, epsilon=e)).distance
-                          for e in grid]
-            assert missed == column
+                missed = [effective_shift_check(*chosen, replace(c, epsilon=e)) for e in grid]
+            assert [m.distance for m in missed] == column
             assert len(calls) == len(grid)
-        assert measurement._sweep is sweep
+            # each miss replaced the slot with its own one-point sweep, which
+            # the same check then hits
+            _assert_one_point_sweep(*chosen, replace(c, epsilon=grid[-1]), missed[-1])
+            with counted_kernel_calls() as calls:
+                assert effective_shift_check(*chosen, replace(c, epsilon=grid[-1])) == missed[-1]
+            assert not calls
 
     def test_shift_sweep_is_the_comparison_column(self):
         pre, post, a = _dense_selection(24, 5)
@@ -532,6 +551,65 @@ class TestShiftSweep:
                 run_comparison([ScenarioSpec("weak", up, a, cfg(grid[0]), down, grid),
                                 ScenarioSpec("expect", up, a, cfg(grid[0]), None, grid)])
         assert measurement._sweep is sweep
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(2, 6),
+           g=st.floats(1e-2, 1e2), delta=st.floats(1e-2, 1e2),
+           grid=st.lists(st.floats(1e-5, 1e-1), min_size=1, max_size=8,
+                         unique=True).map(sorted),
+           off=st.floats(1e-5, 1e-1), scale=st.floats(1.5, 4.0),
+           ops=st.lists(st.tuples(st.sampled_from(
+               ["compare", "hit", "eps", "g", "delta", "other", "rebuilt", "tiny", "huge"]),
+               st.integers(0, 7)), min_size=1, max_size=24))
+    def test_every_check_is_a_check_on_an_empty_slot(self, seed, d, g, delta, grid, off,
+                                                     scale, ops):
+        # a model of the slot, (pre, post, A, g, delta, grid), against which
+        # each check is a hit, which computes nothing and leaves the slot, or a
+        # miss, which replaces it with its one-point sweep unless it raises
+        assume(off not in grid)
+        selections = [_dense_selection(seed, d), _dense_selection(seed + 1, d)]
+        base = cfg(grid[0], g=g, delta=delta)
+        measurement._sweep, model, cur = None, None, 0
+        for kind, i in ops:
+            pre, post, a = selections[cur]
+            c = replace(base, epsilon=grid[i % len(grid)])
+            if kind == "compare":
+                cur = i % 2
+                pre, post, a = selections[cur]
+                _comparison(pre, post, a, base, tuple(grid))
+                model = (pre, post, a, g, delta, grid)
+                continue
+            if kind == "eps":
+                c = replace(c, epsilon=off)
+            elif kind in ("g", "delta"):
+                c = replace(c, **{kind: getattr(c, kind) * scale})
+            elif kind == "other":
+                pre, post, a = selections[1 - cur]
+            elif kind == "rebuilt":
+                pre, post, a = (SystemState(pre.labels, pre.amplitudes),
+                                SystemState(post.labels, post.amplitudes),
+                                Observable(a.labels, a.matrix))
+            elif kind in ("tiny", "huge"):  # below the kick floor, or kicks that overflow
+                c = replace(c, epsilon=1e-85 if kind == "tiny" else 1e300)
+            hit = (model is not None and model[0] is pre and model[1] is post
+                   and model[2] is a and model[3:5] == (c.g, c.delta) and c.epsilon in model[5])
+            slot = measurement._sweep
+            if kind in ("tiny", "huge"):
+                with pytest.raises(InvalidData, match="out of floating-point range"):
+                    effective_shift_check(pre, post, a, c)
+                assert measurement._sweep is slot
+                continue
+            with counted_kernel_calls() as calls:
+                check = effective_shift_check(pre, post, a, c)
+            if hit:
+                assert not calls and measurement._sweep is slot
+            else:
+                assert len(calls) == 1
+                _assert_one_point_sweep(pre, post, a, c, check)
+                model = (pre, post, a, c.g, c.delta, [c.epsilon])
+            slot = measurement._sweep
+            assert _bits(_fresh_check(pre, post, a, c)) == _bits(check)
+            measurement._sweep = slot
 
 
 class TestScalingLaw:

@@ -1,6 +1,7 @@
 """State and observable primitives: construction, inner products, spectra."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,28 @@ class TestMakeState:
     def test_non_finite_amplitude_rejected(self, pairs):
         with pytest.raises(InvalidData, match="amplitude of label 0 is not finite"):
             make_state(pairs)
+
+
+    @pytest.mark.parametrize("pairs, label", [
+        pytest.param([(0.7, 1), (1.2, 1)], 0.7, id="fraction"),
+        pytest.param([(0, 1), ("a", 1)], "a", id="word"),
+        pytest.param([(0, 1), ("1", 1)], "1", id="numeral"),
+        pytest.param([(0, 1), (math.nan, 1)], math.nan, id="nan"),
+        pytest.param([(0, 1), (math.inf, 1)], math.inf, id="inf"),
+        pytest.param([(0, 1), (1 + 0j, 1)], 1 + 0j, id="complex"),
+        pytest.param([(0, 1), (None, 1)], None, id="none"),
+        # the first bad item in input order is the one reported
+        pytest.param([(0.5, math.nan), (0, 1)], 0.5, id="before-a-non-finite"),
+    ])
+    def test_non_integer_label_rejected(self, pairs, label):
+        with pytest.raises(InvalidData, match=f"^label {re.escape(repr(label))} is not an integer$"):
+            make_state(pairs)
+
+    def test_integral_labels_of_any_type_are_their_ints(self):
+        state = make_state([(np.int64(2), 1), (1.0, 1j), (np.float64(-3.0), 2), (0, 1)])
+        assert state.labels == (-3, 0, 1, 2)
+        assert [type(label) for label in state.labels] == [int] * 4
+        assert state == make_state([(2, 1), (1, 1j), (-3, 2), (0, 1)])
 
 
 class TestInner:
@@ -229,6 +252,28 @@ class TestObservable:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(InvalidData, match=r"observable labels \(0, 0\) are not distinct"):
             Observable.diagonal((0, 0))
+
+    @pytest.mark.parametrize("labels, label", [
+        pytest.param((0.5, 1.5), 0.5, id="fractions"),
+        pytest.param((0, 1.5), 1.5, id="fraction"),
+        pytest.param((0, "a"), "a", id="word"),
+        pytest.param((0, math.nan), math.nan, id="nan"),
+    ])
+    def test_non_integer_label_rejected(self, labels, label):
+        match = f"^label {re.escape(repr(label))} is not an integer$"
+        with pytest.raises(InvalidData, match=match):
+            Observable(labels, [[1, 0], [0, 2]])
+        with pytest.raises(InvalidData, match=match):
+            Observable.diagonal(labels)
+        with pytest.raises(InvalidData, match=match):
+            Observable.diagonal(labels, [1.0, 2.0])
+
+    def test_integral_labels_of_any_type_are_their_ints(self):
+        a = Observable((np.int64(0), 1.0), [[1, 0], [0, 2]])
+        assert a.labels == (0, 1) and [type(label) for label in a.labels] == [int] * 2
+        diag = Observable.diagonal((np.int64(-1), 0.0, np.float64(2.0)))
+        assert diag.labels == (-1, 0, 2) and [type(label) for label in diag.labels] == [int] * 3
+        assert diag.matrix.tobytes() == Observable.diagonal((-1, 0, 2)).matrix.tobytes()
 
     def test_matrix_is_immutable(self):
         a = Observable.diagonal((0, 1))

@@ -132,3 +132,23 @@ def test_no_module_imports_a_name_it_never_reads():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [(path.name, line, name) for name, line in bound.items() if name not in read]
     assert sorted(unread) == []
+
+
+def global_statements(node, owner):
+    """(owner, names) of each `global` statement under `node`, with the name
+    of the innermost function or class that holds it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Global):
+            yield owner, tuple(child.names)
+        else:
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            yield from global_statements(child, child.name if inner else owner)
+
+
+def test_the_one_hidden_state_is_the_shift_sweep_slot():
+    # module state that a call rebinds is the last sweep `effective_shift_check`
+    # reads; a second such cache would be a second thing to keep in step
+    found = [(path.stem, *statement) for path in sorted(PACKAGE.glob("*.py"))
+             for statement in global_statements(
+                 ast.parse(path.read_text(encoding="utf-8")), None)]
+    assert found == [("measurement", "shift_sweep", ("_sweep",))]
