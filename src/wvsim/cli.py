@@ -235,8 +235,15 @@ def cmd_compare(args: argparse.Namespace, config: dict) -> int:
                                      scenarios.expectation_scenario(cfg, grid)])
     cells = [tuple(map(fmt, r)) for r in rows]
     trailers = []
-    if len(rows) >= 4:
-        eps, *columns = zip(*rows)
+    # the scaling laws hold in the weak regime only, so only its rows are fitted
+    weak = [r for r in rows if r.weakness <= scenarios.WEAKNESS_THRESHOLD]
+    counts, bound = f"{len(weak)} of {len(rows)}", fmt(scenarios.WEAKNESS_THRESHOLD)
+    if len(rows) >= 4 and len(weak) < 4:
+        trailers.append(f"# fit skipped: {counts} rows have weakness <= {bound}, a fit needs 4")
+    elif len(weak) >= 4:
+        if len(weak) < len(rows):
+            trailers.append(f"# fit rows: {counts} have weakness <= {bound}")
+        eps, *columns = zip(*weak)
         for name, column in zip(("d_eigen", "d_weak_vs_eigen", "d_expect_vs_eigen"), columns):
             fit = scenarios.fit_power_law(zip(eps, column))
             trailers.append(f"# fit {name}: exponent={fmt(fit.exponent)} "

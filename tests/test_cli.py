@@ -28,7 +28,16 @@ from wvsim.cli import (
     parse_state_spec,
 )
 from wvsim.errors import InvalidData
-from wvsim.scenarios import WEAKNESS_THRESHOLD, AmplificationRow, ComparisonRow
+from wvsim.measurement import CouplingConfig
+from wvsim.scenarios import (
+    WEAKNESS_THRESHOLD,
+    AmplificationRow,
+    ComparisonRow,
+    expectation_scenario,
+    fit_power_law,
+    run_comparison,
+    weak_value_one_scenario,
+)
 
 COMPARE_HEADER = "epsilon,d_eigen,d_weak_vs_eigen,d_expect_vs_eigen,p_postselect,weakness"
 AMPLIFY_HEADER = "tan_half_alpha,mean_shift_over_g_eps,p_postselect,weak_flag"
@@ -180,6 +189,22 @@ class TestCompareCommand:
         assert fits["d_weak_vs_eigen"]["coefficient"] == pytest.approx(0.353553, rel=0.05)
         assert fits["d_expect_vs_eigen"]["exponent"] == pytest.approx(1.0, abs=0.05)
         assert fits["d_expect_vs_eigen"]["coefficient"] == pytest.approx(0.5, rel=0.02)
+
+    def test_only_weak_rows_are_fitted(self, capsys):
+        code, out, _ = run(capsys, "compare", "--eps-grid", "1e-3:1:12:log")
+        assert code == 0
+        lines = out.splitlines()
+        grid = parse_grid_spec("1e-3:1:12:log")[0]
+        cfg = CouplingConfig(1.0, grid[0], 1.0)
+        rows = run_comparison([weak_value_one_scenario(cfg, grid), expectation_scenario(cfg, grid)])
+        weak = [r for r in rows if r.weakness <= WEAKNESS_THRESHOLD]
+        assert len(weak) == 9 and rows[:9] == weak
+        assert lines[14] == "# fit rows: 9 of 12 have weakness <= 0.01"
+        for name, line in zip(COMPARE_COLUMNS[1:4], lines[15:]):
+            fit = fit_power_law([(r.epsilon, getattr(r, name)) for r in weak])
+            assert line == (f"# fit {name}: exponent={fit.exponent:.12g} "
+                            f"coefficient={fit.coefficient:.12g} residual={fit.residual:.12g}")
+        assert len(lines) == 18
 
     def test_single_epsilon_has_no_fit_lines(self, capsys):
         code, out, _ = run(capsys, "compare", "--eps", "0.01")
@@ -537,6 +562,14 @@ class TestCommandProperties:
             assert 0.0 <= p <= 1.0
             assert weakness >= 0.0
         trailers = lines[2 + n:]
+        # only the weak rows are fitted, and a fit needs four of them
+        weak = sum(weakness <= WEAKNESS_THRESHOLD for *_, weakness in rows)
+        if n >= 4 and weak < 4:
+            assert trailers == [f"# fit skipped: {weak} of {n} rows have weakness <= 0.01, "
+                                f"a fit needs 4"]
+            return
+        if 4 <= weak < n:
+            assert trailers.pop(0) == f"# fit rows: {weak} of {n} have weakness <= 0.01"
         assert len(trailers) == (3 if n >= 4 else 0)
         for line in trailers:
             values = re.fullmatch(r"# fit \w+: exponent=(\S+) coefficient=(\S+) residual=(\S+)",

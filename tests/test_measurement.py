@@ -289,24 +289,24 @@ class TestWeaknessMetric:
         assert drift(cfg(1e-4)) < 1e-3
 
 
+def _overflowing_centre():
+    """A check whose kicks g*eps*(a_j - Re(A_w)) = -+g*eps are in range while
+    the centre g*eps*Re(A_w), Re(A_w) = 100, is not (nor is d_eigen's, so
+    run_comparison would reject its sweep)."""
+    state = make_state([(0, 1), (1, 1)])
+    a = Observable.diagonal((0, 1), [99.0, 101.0])
+    return state, state, a, CouplingConfig(1e307, 1.0, 1e300)
+
+
 class TestEffectiveShiftCheck:
     def test_weak_value_shift_matches_quadratic_law(self):
         check = effective_shift_check(PRE3, POST3, A3, cfg(0.01))
-        assert check.ideal == 0.01
         assert check.distance == pytest.approx(1e-4 / (2 * math.sqrt(2)), rel=0.05)
 
     def test_eigenstate_shift_is_exact(self):
         e1 = make_state([(-1, 0), (0, 0), (1, 1)])
         check = effective_shift_check(e1, e1, A3, cfg(0.01))
         assert check.distance == pytest.approx(0.0, abs=1e-10)
-
-    def test_amplified_ideal_center(self):
-        c, s = 1 / math.sqrt(1 + 100.0 ** 2), 100 / math.sqrt(1 + 100.0 ** 2)
-        inv = 1 / math.sqrt(2)
-        pre = make_state([(-1, (c - s) * inv), (1, (c + s) * inv)])
-        post = make_state([(-1, inv), (1, inv)])
-        check = effective_shift_check(pre, post, Observable.diagonal((-1, 1)), cfg(1e-4))
-        assert check.ideal == pytest.approx(100 * 1e-4, rel=1e-9)
 
     @pytest.mark.parametrize("g, eps, delta", [(1e300, 1e10, 1.0), (1.0, 1e200, 1e-200)])
     def test_overflowing_coupling_raises(self, g, eps, delta):
@@ -316,16 +316,14 @@ class TestEffectiveShiftCheck:
         with pytest.raises(InvalidData, match=r"g\*epsilon/delta is out of floating-point range"):
             _comparison(PRE3, POST3, A3, CouplingConfig(g, eps, delta), (eps,))
 
-    def test_overflowing_ideal_centre_raises(self):
-        # Re(A_w) = 100 and the kicks are g*eps*(a_j - Re(A_w)) = -+g*eps: the
-        # recorded sweep is in range, the centre g*eps*Re(A_w) of the check is not
-        # (nor is d_eigen's, so run_comparison would reject this sweep)
-        state = make_state([(0, 1), (1, 1)])
-        a = Observable.diagonal((0, 1), [99.0, 101.0])
-        angles = shift_sweep(state, state, a, 1e307, 1e300, np.array([1.0]), [1.0])[3]
+    def test_overflowing_centre_keeps_the_finite_distance(self):
+        state, _, a, c = _overflowing_centre()
+        angles = shift_sweep(state, state, a, c.g, c.delta, np.array([1.0]), [1.0])[3]
         assert angles.tolist() == [math.pi / 2]
-        with pytest.raises(InvalidData, match=r"g=1e\+307, epsilon=1.0, delta=1e\+300"):
-            effective_shift_check(state, state, a, CouplingConfig(1e307, 1.0, 1e300))
+        measurement._sweep = None
+        check = effective_shift_check(state, state, a, c)
+        assert _bits(check) == _bits((angles[0],))
+        _assert_one_point_sweep(state, state, a, c, check)
 
     def test_replacement_quality_scales_one_order_faster(self):
         ratios = []
@@ -443,8 +441,8 @@ def _assert_one_point_sweep(pre, post, a, c, check):
     made, and its reads give that check."""
     slot = measurement._sweep
     assert slot[0] is pre and slot[1] is post and slot[2] is a
-    assert slot[3:5] == (c.g, c.delta) and slot[6] == [c.epsilon]
-    assert _bits((c.g * c.epsilon * slot[5], slot[7][0])) == _bits(check)
+    assert slot[3:5] == (c.g, c.delta) and slot[5] == [c.epsilon]
+    assert _bits((slot[6][0],)) == _bits(check)
 
 
 class TestShiftSweep:
@@ -559,7 +557,8 @@ class TestShiftSweep:
                          unique=True).map(sorted),
            off=st.floats(1e-5, 1e-1), scale=st.floats(1.5, 4.0),
            ops=st.lists(st.tuples(st.sampled_from(
-               ["compare", "hit", "eps", "g", "delta", "other", "rebuilt", "tiny", "huge"]),
+               ["compare", "hit", "eps", "g", "delta", "other", "rebuilt", "tiny", "huge",
+                "centre"]),
                st.integers(0, 7)), min_size=1, max_size=24))
     def test_every_check_is_a_check_on_an_empty_slot(self, seed, d, g, delta, grid, off,
                                                      scale, ops):
@@ -568,6 +567,7 @@ class TestShiftSweep:
         # miss, which replaces it with its one-point sweep unless it raises
         assume(off not in grid)
         selections = [_dense_selection(seed, d), _dense_selection(seed + 1, d)]
+        centre = _overflowing_centre()
         base = cfg(grid[0], g=g, delta=delta)
         measurement._sweep, model, cur = None, None, 0
         for kind, i in ops:
@@ -591,6 +591,8 @@ class TestShiftSweep:
                                 Observable(a.labels, a.matrix))
             elif kind in ("tiny", "huge"):  # below the kick floor, or kicks that overflow
                 c = replace(c, epsilon=1e-85 if kind == "tiny" else 1e300)
+            elif kind == "centre":  # kicks in range, centre g*eps*Re(A_w) beyond it
+                pre, post, a, c = centre
             hit = (model is not None and model[0] is pre and model[1] is post
                    and model[2] is a and model[3:5] == (c.g, c.delta) and c.epsilon in model[5])
             slot = measurement._sweep

@@ -1,6 +1,7 @@
 """Scenario constructors, comparison sweeps, power-law fits, amplification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,19 @@ class TestRunComparison:
             kept = measurement._sweep
             assert kept[0] is weak.pre and kept[1] is weak.post and kept[2] is weak.observable
 
+    def test_partner_of_a_large_weak_value_is_checked_at_its_own_scale(self):
+        # a partner's expectation rounds at the scale sum_j |a_j| p_j of its
+        # spectrum, which a weak value of 1e3 to 1e9 takes far above 1e-9
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            pre, post, a = large_weak_value_selection(rng)
+            aw = weak_value(pre, post, a).real
+            spec = scenarios.ScenarioSpec("weak", pre, a, CFG, post, [1e-3, 1e-2])
+            assert len(run_comparison([spec, target_partner(pre, a, aw)])) == 2
+            with pytest.raises(InvalidData, match=rf"^scenarios target different values: "
+                                                  rf"weak {re.escape(repr(aw))} vs expectation "):
+                run_comparison([spec, target_partner(pre, a, aw * (1 + 1e-6))])
+
     def test_explicit_grid_replaces_both_scenario_grids(self):
         # the second argument the benchmark's --smoke self-check passes
         mismatched = [weak_value_one_scenario(CFG), expectation_scenario(CFG, [0.02])]
@@ -216,6 +230,29 @@ class TestRunComparison:
                 sweep(CFG, [0.01, 0.01])
             with pytest.raises(InvalidData, match="strictly positive"):
                 sweep(CFG, [0.0, 0.01])
+
+
+def large_weak_value_selection(rng):
+    """A dense selection of dimension 2 to 5 whose weak value is 1/t + <A>
+    up to rounding, for t from 1e-9 to 1e-3: post is the unit vector y
+    orthogonal to pre plus conj(<y|A|pre>) t pre."""
+    d = int(rng.integers(2, 6))
+    labels = tuple(range(d))
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    a = qstate.Observable(labels, (x + x.conj().T) / 2)
+    pre, y = (rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(2))
+    pre /= np.linalg.norm(pre)
+    y -= np.vdot(pre, y) * pre
+    y /= np.linalg.norm(y)
+    post = y + np.conj(np.vdot(y, a.matrix @ pre)) * 10.0 ** -rng.uniform(3, 9) * pre
+    return (qstate.make_state(zip(labels, pre)), qstate.make_state(zip(labels, post)), a)
+
+
+def target_partner(pre, a, target):
+    """The pre-selected-only partner A + (target - <A>) 1 of the selection."""
+    mean = np.vdot(pre.vector, a.matrix @ pre.vector).real
+    shifted = qstate.Observable(a.labels, a.matrix + (target - mean) * np.eye(len(a.labels)))
+    return scenarios.ScenarioSpec("expect", pre, shifted, CFG, None, [1e-3, 1e-2])
 
 
 def assert_rows_stand_alone(specs, every=1):
