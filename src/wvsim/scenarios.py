@@ -213,7 +213,7 @@ def run_comparison(specs: Iterable[ScenarioSpec],
                 weak.pre, weak.post, weak.observable, g, delta, eps, grid)
             vals_x, born = branch_weights(expect.pre, None, expect.observable)
             a_exp = vals_x @ born
-            if abs(a_exp - a_ref) > 1e-9 * (np.abs(vals_x) @ born):
+            if abs(a_exp - a_ref) > 1e-9 * max(1.0, np.abs(vals_x) @ born):
                 raise InvalidData(
                     f"scenarios target different values: weak {a_ref} vs expectation {a_exp}")
             kick = g * eps

@@ -214,6 +214,28 @@ class TestRunComparison:
                                                   rf"weak {re.escape(repr(aw))} vs expectation "):
                 run_comparison([spec, target_partner(pre, a, aw * (1 + 1e-6))])
 
+    def test_partner_in_its_observables_kernel_keeps_the_absolute_bound(self):
+        # a partner whose pre-state lies in its observable's kernel has
+        # sum_j |a_j| p_j = 0; the bound stays 1e-9, so a weak value that only
+        # rounds to 0 passes and one 1e-8 away does not
+        rng = np.random.default_rng(5)
+        labels = (0, 1, 2)
+        zero = qstate.Observable(labels, np.zeros((3, 3)))
+        for _ in range(200):
+            x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            a = (x + x.conj().T) / 2
+            pre = rng.normal(size=3) + 1j * rng.normal(size=3)
+            pre /= np.linalg.norm(pre)
+            u = a @ pre
+            post = rng.normal(size=3) + 1j * rng.normal(size=3)
+            post -= np.vdot(u, post) / np.vdot(u, u) * u   # <post|A|pre> = 0
+            pre = qstate.make_state(zip(labels, pre))
+            spec = scenarios.ScenarioSpec("weak", pre, qstate.Observable(labels, a), CFG,
+                                          qstate.make_state(zip(labels, post)), [1e-3, 1e-2])
+            assert len(run_comparison([spec, target_partner(pre, zero, 0.0)])) == 2
+            with pytest.raises(InvalidData, match="^scenarios target different values: "):
+                run_comparison([spec, target_partner(pre, zero, 1e-8)])
+
     def test_explicit_grid_replaces_both_scenario_grids(self):
         # the second argument the benchmark's --smoke self-check passes
         mismatched = [weak_value_one_scenario(CFG), expectation_scenario(CFG, [0.02])]
